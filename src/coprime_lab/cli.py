@@ -226,6 +226,8 @@ def convergence(kind: str, ns: list[int], seed: int | None = None, threads: int 
     triple3 sizes beyond the brute-force bound run the Monte Carlo estimator
     and then require a seed.
     """
+    if not ns:
+        raise ValueError("--ns needs at least one size")
     if list(ns) != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("--ns must be strictly ascending")
     records = []
@@ -275,11 +277,18 @@ def convergence(kind: str, ns: list[int], seed: int | None = None, threads: int 
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {val}")
+    return val
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+    common.add_argument("--threads", type=positive_int, default=1, help="worker cap; never changes results")
 
     parser = argparse.ArgumentParser(prog="coprime-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,13 +344,28 @@ def _require(args, names):
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
-    """Parse argv, run the experiment, stream records; returns the exit code."""
+    """Parse argv, run the experiment, stream records; returns the exit code.
+
+    ``--out`` is opened before any work starts, so an unwritable path fails
+    at once; like a shell redirection, it is truncated even if the run fails.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if out is not None or args.out is None:
+        return _execute(args, sys.stdout if out is None else out)
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"invalid arguments: cannot open --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        return _execute(args, out)
 
+
+def _execute(args, out) -> int:
     try:
         t0 = time.perf_counter()
         if args.command == "exact":
@@ -374,22 +398,11 @@ def run(argv: list[str] | None = None, out=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 
-    close = False
-    if out is None:
-        if args.out is not None:
-            out = open(args.out, "w", encoding="utf-8")
-            close = True
-        else:
-            out = sys.stdout
-    try:
-        if args.format == "csv":
-            out.write(CSV_HEADER + "\n")
-        for rec in records:
-            out.write((rec.csv_row() if args.format == "csv" else rec.json_line()) + "\n")
-            out.flush()
-    finally:
-        if close:
-            out.close()
+    if args.format == "csv":
+        out.write(CSV_HEADER + "\n")
+    for rec in records:
+        out.write((rec.csv_row() if args.format == "csv" else rec.json_line()) + "\n")
+        out.flush()
     return 0
 
 

@@ -116,6 +116,24 @@ def totient_sum(n: int, method: str = "auto") -> int:
     return _phi_memo[n] if n > base else int(prefix[n])
 
 
+def _quotient_block_sum(weights: np.ndarray, n: int, g) -> int:
+    """sum of weights[d] * g(n // d) over d = 1..n, with weights[0] = 0.
+
+    n // d is constant on at most 2*sqrt(n) blocks d..d2, each weighted by
+    M(d2) - M(d - 1) for the prefix sums M of the weights. |M(x)| <= x <
+    2^31 fits int32; the products are Python ints, so g may pass int64.
+    """
+    prefix = np.cumsum(weights[: n + 1], dtype=np.int32)
+    total = 0
+    d = 1
+    while d <= n:
+        q = n // d
+        d2 = n // q
+        total += (int(prefix[d2]) - int(prefix[d - 1])) * g(q)
+        d = d2 + 1
+    return total
+
+
 def coprime_ordered_count_mobius(n: int) -> int:
     """#{(i, k) in [1,n]^2 : gcd(i, k) = 1} via sum of mu(d) * floor(n/d)^2.
 
@@ -123,11 +141,7 @@ def coprime_ordered_count_mobius(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    tables = shared_tables(n)
-    d = np.arange(1, n + 1, dtype=np.int64)
-    q = n // d
-    # |sum| <= zeta(2) * n^2, safe in int64 for n up to the 1e8 build cap
-    return int(np.dot(tables.mu[1 : n + 1].astype(np.int64), q * q))
+    return _quotient_block_sum(shared_tables(n).mu, n, lambda q: q * q)
 
 
 def _pair_numerator(n: int) -> int:
@@ -178,14 +192,7 @@ def ktuple_coprime_count(n: int, k: int) -> DensityResult:
     ref = constants.reference_constant("ktuple", k=k).value
     if n == 1:
         return _result("ktuple", n, 1, 1, ref)
-    tables = shared_tables(n)
-    if k * n.bit_length() <= 62:
-        d = np.arange(1, n + 1, dtype=np.int64)
-        q = n // d
-        num = int(np.dot(tables.mu[1 : n + 1].astype(np.int64), q**k))
-    else:
-        mu = tables.mu[: n + 1].tolist()
-        num = sum(mu[d] * (n // d) ** k for d in range(1, n + 1) if mu[d])
+    num = _quotient_block_sum(shared_tables(n).mu, n, lambda q: q**k)
     return _result("ktuple", n, num, n**k, ref)
 
 
@@ -219,10 +226,9 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     ref = constants.reference_constant("odd_pair").value
-    tables = shared_tables(n)
-    d = np.arange(1, n + 1, 2, dtype=np.int64)
-    cnt = (n // d + 1) // 2
-    ordered = int(np.dot(tables.mu[1 : n + 1 : 2].astype(np.int64), cnt * cnt))
+    odd_mu = shared_tables(n).mu[: n + 1].copy()
+    odd_mu[::2] = 0
+    ordered = _quotient_block_sum(odd_mu, n, lambda q: ((q + 1) // 2) ** 2)
     m = (n + 1) // 2
     return _result("odd_pair", n, (ordered - 1) // 2, m * (m - 1) // 2, ref)
 

@@ -1,4 +1,4 @@
-"""Multiplicative-function tables: mu, phi, smallest prime factor, primes.
+"""Multiplicative-function tables: mu, phi and primes.
 
 Everything downstream that counts exactly reads from one immutable
 :class:`SieveTables`. Tables are built with vectorised numpy passes over
@@ -31,15 +31,14 @@ SIEVE_LIMIT_ENV = "COPRIME_LAB_SIEVE_LIMIT"
 class SieveTables:
     """Arrays indexed 1..limit (index 0 is unused and zeroed).
 
-    mu[n] in {-1, 0, +1}, phi[n] = Euler totient, spf[n] = smallest prime
-    factor (spf[0] = spf[1] = 0), primes = ascending array of primes <= limit.
+    mu[n] in {-1, 0, +1}, phi[n] = Euler totient, primes = ascending array
+    of primes <= limit.
     Arrays are marked read-only; a built table may be shared across threads.
     """
 
     limit: int
     mu: np.ndarray
     phi: np.ndarray
-    spf: np.ndarray
     primes: np.ndarray
 
 
@@ -53,15 +52,13 @@ def build_sieve(limit: int) -> SieveTables:
     n = limit
     mu = np.ones(n + 1, dtype=np.int8)
     phi = np.ones(n + 1, dtype=np.int32)
-    spf = np.zeros(n + 1, dtype=np.int32)
     # Product of all prime powers p^e | m over primes p <= sqrt(n); m divided
     # by it leaves 1 or a single prime > sqrt(n).
     smooth = np.ones(n + 1, dtype=np.int32)
     for p in range(2, isqrt(n) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-            spf[p] = p
+        # every prime factor of a composite p <= sqrt(n) is already applied,
+        # so phi[p] = phi(p) >= 2 there, while a prime p is still untouched
+        if phi[p] == 1:
             phi[p::p] *= p - 1
             mu[p::p] *= -1
             if p * p <= n:
@@ -77,17 +74,15 @@ def build_sieve(limit: int) -> SieveTables:
     big = rem > 1
     phi[big] *= rem[big] - 1
     mu[big] = -mu[big]
-    unset = (spf == 0) & (idx >= 2)
-    spf[unset] = idx[unset]
-    primes = (np.flatnonzero(spf[2:] == idx[2:]) + 2).astype(np.int64)
+    primes = (np.flatnonzero(phi[2:] == idx[2:] - 1) + 2).astype(np.int64)
     mu[0] = 0
     phi[0] = 0
     if n >= 1:
         mu[1] = 1
         phi[1] = 1
-    for arr in (mu, phi, spf, primes):
+    for arr in (mu, phi, primes):
         arr.flags.writeable = False
-    return SieveTables(limit=n, mu=mu, phi=phi, spf=spf, primes=primes)
+    return SieveTables(limit=n, mu=mu, phi=phi, primes=primes)
 
 
 def prime_count(tables: SieveTables, x: int) -> int:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coprime_lab import cli, exact
+from coprime_lab import cli, exact, montecarlo
 
 
 def run_lines(argv):
@@ -173,3 +173,28 @@ def test_triple3_convergence_mc_fallback():
     assert "ci95" in recs[1] and recs[1]["seed"] == 4
     code, _ = run_lines(["report", "convergence", "--experiment", "triple3", "--ns", "100,5000"])
     assert code == 3  # needs a seed past the brute-force bound
+
+
+def test_convergence_rejects_empty_ns():
+    for ns in (",", ""):
+        code, _ = run_lines(["report", "convergence", "--experiment", "pair", "--ns", ns])
+        assert code == 2, ns
+
+
+def test_unwritable_out_fails_before_work(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact, "coprime_pair_count", lambda n: calls.append(n))
+    path = tmp_path / "missing" / "x.json"
+    assert cli.run(["exact", "pair", "--n", "10", "--out", str(path)]) == 2
+    assert cli.run(["exact", "pair", "--n", "10", "--out", str(tmp_path)]) == 2
+    assert calls == []
+    assert not path.parent.exists()
+
+
+def test_threads_below_one_rejected(monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "estimate_coprime_pair", lambda *a: calls.append(a))
+    for threads in ("0", "-3"):
+        argv = ["mc", "pair", "--trials", "100", "--seed", "1", "--threads", threads]
+        assert cli.run(argv, out=io.StringIO()) == 2
+    assert calls == []

@@ -5,6 +5,8 @@ from math import gcd
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprime_lab import constants
 from coprime_lab.errors import ResourceLimitError
@@ -26,8 +28,14 @@ from coprime_lab.exact import (
     totient_sum,
     visible_points_in_disk,
 )
+from coprime_lab.sieve import build_sieve
 
 SIX_OVER_PI2 = 6 / math.pi**2
+
+
+def per_d_sum(mu, n, g, step=1):
+    """sum of mu[d] * g(n // d) over d = 1, 1 + step, ... <= n, one d at a time."""
+    return sum(mu[d] * g(n // d) for d in range(1, n + 1, step) if mu[d])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +208,39 @@ def test_ktuple_big_exponent_uses_exact_ints():
     r = ktuple_coprime_count(50, 10)
     assert r.denominator == 50**10
     assert 0 < r.numerator <= r.denominator
+    # 63 and 64 straddle 10 * n.bit_length() = 62, a cheap int64 guard for
+    # n^10; 78^10 < 2^63 < 79^10 is where n^10 itself leaves int64
+    mu = build_sieve(79).mu.tolist()
+    for n in (63, 64, 78, 79):
+        expect = per_d_sum(mu, n, lambda q: q**10)
+        assert ktuple_coprime_count(n, 10).numerator == expect, n
+
+
+def test_ktuple_k3_across_2_pow_21():
+    # n^3 crosses 2^63 between n = 2^21 - 1 and 2^21
+    mu = build_sieve(2**21).mu.tolist()
+    pins = {2**21 - 1: 7672982436446989105, 2**21: 7672992332048493361}
+    for n, pin in pins.items():
+        assert per_d_sum(mu, n, lambda q: q**3) == pin, n
+        assert ktuple_coprime_count(n, 3).numerator == pin, n
+
+
+def test_ktuple_k2_matches_totient_route():
+    for n in (2, 10, 999, 2**16, 10**5):
+        assert ktuple_coprime_count(n, 2).numerator == 2 * totient_sum(n) - 1, n
+
+
+MU_3000 = build_sieve(3000).mu.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3000), k=st.integers(2, 10))
+def test_mobius_block_sums_match_per_d_sums(n, k):
+    assert ktuple_coprime_count(n, k).numerator == per_d_sum(MU_3000, n, lambda q: q**k)
+    assert coprime_ordered_count_mobius(n) == per_d_sum(MU_3000, n, lambda q: q * q)
+    if n >= 3:
+        odd = per_d_sum(MU_3000, n, lambda q: ((q + 1) // 2) ** 2, step=2)
+        assert odd_coprime_pair_count(n).numerator == (odd - 1) // 2
 
 
 def test_ktuple_errors():

@@ -56,7 +56,7 @@ def test_degenerate_limit():
 
 def test_small_values():
     t = build_sieve(30)
-    assert t.phi[10] == 4 and t.mu[10] == 1 and t.spf[10] == 2
+    assert t.phi[10] == 4 and t.mu[10] == 1
     assert t.mu[30] == -1  # 2 * 3 * 5
     assert t.phi[1] == 1 and t.mu[1] == 1
 
@@ -67,7 +67,6 @@ def test_prime_entries(tables):
         if is_p[p]:
             assert tables.phi[p] == p - 1
             assert tables.mu[p] == -1
-            assert tables.spf[p] == p
     assert [int(p) for p in tables.primes[:10]] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert np.all(np.diff(tables.primes) > 0)
 
@@ -106,7 +105,6 @@ def test_prefix_consistency():
     small, big = build_sieve(500), build_sieve(1000)
     assert np.array_equal(big.mu[:501], small.mu)
     assert np.array_equal(big.phi[:501], small.phi)
-    assert np.array_equal(big.spf[:501], small.spf)
     n_small = int(np.searchsorted(big.primes, 500, side="right"))
     assert np.array_equal(big.primes[:n_small], small.primes)
 
@@ -143,7 +141,7 @@ def test_errors():
 
 
 def test_tables_immutable(tables):
-    for arr in (tables.mu, tables.phi, tables.spf, tables.primes):
+    for arr in (tables.mu, tables.phi, tables.primes):
         with pytest.raises(ValueError):
             arr[1] = 0
 
