@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -284,6 +285,13 @@ def positive_int(text: str) -> int:
     return val
 
 
+def positive_finite_float(text: str) -> float:
+    val = float(text)
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return val
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -316,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_const.add_argument("--k", type=int, default=2)
     p_const.add_argument("--dim", default=None, help="matrix dimension or 'inf'")
-    p_const.add_argument("--eps", type=float, default=None, help="tolerance (default 1e-9; 1e-8 for q3/delta)")
+    p_const.add_argument("--eps", type=positive_finite_float, default=None, help="tolerance (default 1e-9; 1e-8 for q3/delta)")
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimates", parents=[common])
     p_mc.add_argument("operation", choices=("pair", "triple3", "gaussian", "det"))

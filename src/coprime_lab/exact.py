@@ -1,22 +1,23 @@
 """Exact finite-range coprimality counts.
 
 Every operation returns a :class:`DensityResult` whose numerator and
-denominator are exact integers (Python ints never wrap, and every int64
-fast path is guarded by a proven bound before use). The float ``value`` is
-the correctly rounded quotient of those integers.
+denominator are exact integers (Python ints never wrap, every int64 fast
+path is guarded by a proven bound before use, and the summatory recurrences
+run in uint64 residues that are lifted to exact integers). The float
+``value`` is the correctly rounded quotient of those integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, pi
 
 import numpy as np
 
 from . import constants
 from .errors import ResourceLimitError
-from .sieve import prime_count, shared_tables
+from .sieve import primes_up_to, shared_tables
 
 #: Largest n accepted by the brute-force pairwise-triple counter.
 TRIPLE_BRUTE_BOUND = 2000
@@ -50,114 +51,166 @@ def _result(kind, n, num, den, reference=None):
 
 
 # ---------------------------------------------------------------------------
-# Totient summatory function
+# Summatory functions at the quotient points floor(n/k)
 # ---------------------------------------------------------------------------
 
-_phi_prefix = np.zeros(1, dtype=np.int64)  # _phi_prefix[m] = Phi(m)
-_phi_memo: dict[int, int] = {}
+_MOD = 1 << 64
+
+#: Smallest base table the public routes use (all of n below it): a table
+#: this size costs less than the recurrence's per-step numpy overhead.
+_SMALL_TABLE = 10**4
 
 
-def _prefix_up_to(m: int) -> np.ndarray:
-    global _phi_prefix
-    if len(_phi_prefix) <= m:
-        tables = shared_tables(m)
-        _phi_prefix = np.cumsum(tables.phi, dtype=np.int64)
-    return _phi_prefix
+def _base_size(n: int) -> int:
+    """Base table size for the recurrence at n: about n^(2/3), at least isqrt(n)."""
+    return max(isqrt(n), iroot(n * n, 3))
+
+
+def _table_size(n: int) -> int:
+    """Base table size the public routes use: all of n when n is small."""
+    return min(n, max(_SMALL_TABLE, _base_size(n)))
+
+
+def _quotient_values(n: int, L: int, prefix: np.ndarray, G) -> np.ndarray:
+    """big[k] = F(n // k) mod 2^64 for k = 1..n // (L + 1); big[0] is unused.
+
+    F satisfies F(m) = G(m) - sum of F(m // d) over d = 2..m, and prefix is
+    the uint64 table of F(m) mod 2^64 for m = 0..L, with L >= isqrt(n)
+    (Deleglise & Rivat, Experimental Mathematics 5, 1996). Points above L
+    are filled from the smallest (k = K) up. With s = isqrt(m), each d <= s reads
+    m // d = n // (k*d) from big[k*d] while k*d <= K and from prefix
+    otherwise; the d > s share q = m // d <= m // (s + 1) in runs of
+    m // q - m // (q + 1). uint64 wraps mod 2^64 and the recurrence is
+    integer-linear, so the residues are exact at any n.
+    """
+    K = n // (L + 1)
+    big = np.zeros(K + 1, dtype=np.uint64)
+    ar = np.arange(isqrt(n) + 3, dtype=np.int64)
+    for k in range(K, 0, -1):
+        m = n // k
+        s = isqrt(m)
+        t = min(s, K // k)
+        quo = m // ar[1 : m // (s + 1) + 2]  # m // q for q = 1..Q+1
+        runs = (quo[:-1] - quo[1:]).astype(np.uint64)
+        total = (
+            G(m)
+            - int(big[k * ar[2 : t + 1]].sum())
+            - int(prefix[m // ar[t + 1 : s + 1]].sum())
+            - int(np.dot(runs, prefix[1 : len(quo)]))
+        )
+        big[k] = total % _MOD
+    return big
+
+
+def _totient_at(n: int, L: int) -> int:
+    """Phi(n) from a base table of size L (L = n sums the table directly).
+
+    Phi(m) = m(m+1)/2 - sum of Phi(m // d) over d >= 2. Its residue mod 2^64
+    is lifted to the integer nearest 3n^2/pi^2, which is exact because
+    |Phi(n) - 3n^2/pi^2| <= 2n(ln n + 2) lies far inside 2^63 for every n a
+    base table under the sieve cap can reach.
+    """
+    phi = shared_tables(L).phi[: L + 1]
+    prefix = np.cumsum(phi, dtype=np.int64).view(np.uint64)  # Phi(L) < 2^63
+    if n <= L:
+        return int(prefix[n])
+    big = _quotient_values(n, L, prefix, lambda m: m * (m + 1) // 2)
+    center, half = int(3 * n * n / pi**2), _MOD >> 1
+    return center + (int(big[1]) - center + half) % _MOD - half
+
+
+def _mertens_at_quotients(n: int, L: int):
+    """(mu up to L, mertens) with mertens(i) = M(n // i) for int64 arrays i >= 1.
+
+    M is the Mertens function, M(m) = 1 - sum of M(m // d) over d >= 2;
+    |M(m)| <= m < 2^63, so its uint64 residues read as int64 are exact.
+    """
+    mu = shared_tables(L).mu[: L + 1]
+    prefix = np.cumsum(mu, dtype=np.int64)
+    big = _quotient_values(n, L, prefix.view(np.uint64), lambda m: 1).view(np.int64)
+    K = len(big) - 1
+
+    def mertens(i: np.ndarray) -> np.ndarray:
+        return np.where(i <= K, big[np.minimum(i, K)], prefix[np.minimum(n // i, L)])
+
+    return mu, mertens
+
+
+def _odd_mertens(mertens, n: int, i: np.ndarray) -> np.ndarray:
+    """M_odd(n // i), the Mertens sum over odd d only, for ascending i.
+
+    Even d = 2e has mu(d) = -mu(e) for odd e, so M(x) = M_odd(x) -
+    M_odd(x // 2) and M_odd(x) = sum over j of M(x // 2^j); each
+    x // 2^j = n // (i * 2^j) is again a quotient point of n.
+    """
+    total = np.zeros(len(i), dtype=np.int64)
+    while len(i):
+        total[: len(i)] += mertens(i)
+        i = i[i <= n // 2] * 2
+    return total
+
+
+def _mobius_sum(n: int, g, odd: bool = False) -> int:
+    """sum of mu(d) * g(n // d) over d = 1..n (odd d only if odd), exactly.
+
+    With s = isqrt(n), d <= s is summed term by term; every d > s has
+    q = n // d <= n // (s + 1), and the d sharing q weigh
+    W(n // q) - W(n // (q + 1)) with W = M (or M_odd) at quotient points, so
+    no table up to n is built. Products are Python ints, so g may pass int64.
+    """
+    s = isqrt(n)
+    mu, mertens = _mertens_at_quotients(n, _table_size(n))
+    w = mu[1 : s + 1].astype(np.int64)
+    i = np.arange(1, n // (s + 1) + 2, dtype=np.int64)
+    if odd:
+        w[1::2] = 0
+        W = _odd_mertens(mertens, n, i)
+    else:
+        W = mertens(i)
+    weights = np.concatenate([w, W[:-1] - W[1:]]).tolist()
+    args = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]]).tolist()
+    return sum(a * g(q) for a, q in zip(weights, args) if a)
 
 
 def totient_sum(n: int, method: str = "auto") -> int:
     """Phi(n) = sum of phi(k) for k = 1..n, exactly.
 
-    ``method="sieve"`` forces direct summation over a full table (needs
-    n within the configured sieve cap); ``method="recurrence"`` forces the
-    sublinear route Phi(n) = n(n+1)/2 - sum over quotients, which handles n
-    far beyond any table. ``"auto"`` picks the cheap one.
+    ``method="sieve"`` sums a full table (needs n within the configured
+    sieve cap); ``method="recurrence"`` runs the sublinear recurrence from a
+    base table of about n^(2/3), which handles n far beyond any table.
+    ``"auto"`` sums a table for small n and recurs above.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0
     if method not in ("auto", "sieve", "recurrence"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "sieve":
-        return int(_prefix_up_to(n)[n])
-    if method == "auto" and (n < 10**4 or len(_phi_prefix) > n):
-        return int(_prefix_up_to(n)[n])
-
-    # Sublinear recurrence over the quotient set of n, smallest first.
-    base = min(max(10**4, int(n ** (2 / 3))), n)
-    try:
-        prefix = _prefix_up_to(base)
-    except ResourceLimitError:
-        base = len(_phi_prefix) - 1
-        if base < 1:
-            raise
-        prefix = _phi_prefix
-
-    quotients = []
-    d = 1
-    while d <= n:
-        q = n // d
-        if q <= base:
-            break
-        quotients.append(q)
-        d = n // q + 1
-    for m in reversed(quotients):
-        if m in _phi_memo:
-            continue
-        s = m * (m + 1) // 2
-        d = 2
-        while d <= m:
-            q = m // d
-            d2 = m // q
-            s -= (d2 - d + 1) * (int(prefix[q]) if q <= base else _phi_memo[q])
-            d = d2 + 1
-        _phi_memo[m] = s
-    return _phi_memo[n] if n > base else int(prefix[n])
-
-
-def _quotient_block_sum(weights: np.ndarray, n: int, g) -> int:
-    """sum of weights[d] * g(n // d) over d = 1..n, with weights[0] = 0.
-
-    n // d is constant on at most 2*sqrt(n) blocks d..d2, each weighted by
-    M(d2) - M(d - 1) for the prefix sums M of the weights. |M(x)| <= x <
-    2^31 fits int32; the products are Python ints, so g may pass int64.
-    """
-    prefix = np.cumsum(weights[: n + 1], dtype=np.int32)
-    total = 0
-    d = 1
-    while d <= n:
-        q = n // d
-        d2 = n // q
-        total += (int(prefix[d2]) - int(prefix[d - 1])) * g(q)
-        d = d2 + 1
-    return total
+    if n == 0:
+        return 0
+    sizes = {"auto": _table_size, "sieve": lambda n: n, "recurrence": _base_size}
+    return _totient_at(n, sizes[method](n))
 
 
 def coprime_ordered_count_mobius(n: int) -> int:
     """#{(i, k) in [1,n]^2 : gcd(i, k) = 1} via sum of mu(d) * floor(n/d)^2.
 
-    Needs mu up to n, so n must fit under the configured sieve cap.
+    Reads the Mertens function at quotient points only, so it runs at every
+    n whose base table (about n^(2/3)) fits under the configured sieve cap.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _quotient_block_sum(shared_tables(n).mu, n, lambda q: q * q)
+    return _mobius_sum(n, lambda q: q * q)
 
 
 def _pair_numerator(n: int) -> int:
-    """|{(i, k): 1 <= i < k <= n, gcd = 1}| = Phi(n) - 1."""
+    """|{(i, k): 1 <= i < k <= n, gcd = 1}| = Phi(n) - 1, cross-checked."""
     if n <= 1:
         return 0
     num = totient_sum(n) - 1
-    try:
-        ordered = coprime_ordered_count_mobius(n)
-    except ResourceLimitError:
-        pass  # beyond the mu table cap the Phi route stands alone
-    else:
-        if ordered != 2 * num + 1:
-            raise AssertionError(
-                f"mobius/totient cross-check failed at n={n}: {ordered} != {2 * num + 1}"
-            )
+    ordered = coprime_ordered_count_mobius(n)
+    if ordered != 2 * num + 1:
+        raise AssertionError(
+            f"mobius/totient cross-check failed at n={n}: {ordered} != {2 * num + 1}"
+        )
     return num
 
 
@@ -192,7 +245,7 @@ def ktuple_coprime_count(n: int, k: int) -> DensityResult:
     ref = constants.reference_constant("ktuple", k=k).value
     if n == 1:
         return _result("ktuple", n, 1, 1, ref)
-    num = _quotient_block_sum(shared_tables(n).mu, n, lambda q: q**k)
+    num = _mobius_sum(n, lambda q: q**k)
     return _result("ktuple", n, num, n**k, ref)
 
 
@@ -226,9 +279,7 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     ref = constants.reference_constant("odd_pair").value
-    odd_mu = shared_tables(n).mu[: n + 1].copy()
-    odd_mu[::2] = 0
-    ordered = _quotient_block_sum(odd_mu, n, lambda q: ((q + 1) // 2) ** 2)
+    ordered = _mobius_sum(n, lambda q: ((q + 1) // 2) ** 2, odd=True)
     m = (n + 1) // 2
     return _result("odd_pair", n, (ordered - 1) // 2, m * (m - 1) // 2, ref)
 
@@ -285,9 +336,8 @@ def prime_density(x: int) -> DensityResult:
     """pi(x)/x as an exact ratio; the reference density is zero."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    tables = shared_tables(x)
     ref = constants.reference_constant("prime_density").value
-    return _result("prime_density", x, prime_count(tables, x), x, ref)
+    return _result("prime_density", x, len(primes_up_to(x)), x, ref)
 
 
 # ---------------------------------------------------------------------------

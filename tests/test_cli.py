@@ -152,8 +152,10 @@ def test_exit_code_internal_error(monkeypatch):
 
 
 def test_sieve_limit_env_respected(monkeypatch):
+    # odd pairs at n = 1e7 read the Mertens function off a base table of
+    # about n^(2/3) = 46,416 entries, above the 10,000 limit
     monkeypatch.setenv("COPRIME_LAB_SIEVE_LIMIT", "10000")
-    code, _ = run_lines(["exact", "odd-pair", "--n", "100000"])
+    code, _ = run_lines(["exact", "odd-pair", "--n", "10000000"])
     assert code == 3
 
 
@@ -198,3 +200,10 @@ def test_threads_below_one_rejected(monkeypatch):
         argv = ["mc", "pair", "--trials", "100", "--seed", "1", "--threads", threads]
         assert cli.run(argv, out=io.StringIO()) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1e-9"])
+def test_const_eps_must_be_finite_and_positive(eps, capsys):
+    code, lines = run_lines(["const", "zeta", "--k", "3", f"--eps={eps}"])
+    assert code == 2 and lines == []
+    assert "--eps" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprime_lab import constants
+from coprime_lab import constants, exact, sieve
 from coprime_lab.errors import ResourceLimitError
 from coprime_lab.exact import (
     TRIPLE_BRUTE_BOUND,
@@ -67,6 +67,72 @@ def test_totient_sum_errors():
         totient_sum(-1)
     with pytest.raises(ValueError):
         totient_sum(10, "guess")
+
+
+# Phi(10^k) (OEIS A064018) and M(10^k) (OEIS A084237), k = 1..9
+PHI_POW10 = [32, 3044, 304192, 30397486, 3039650754, 303963552392, 30396356427242,
+             3039635516365908, 303963551173008414]
+MERTENS_POW10 = [-1, 1, 2, -23, -48, 212, 1037, 1928, -222]
+
+# Phi past 2^63, computed once by the pure-Python recurrence this engine replaced
+PHI_PAST_INT64 = {6 * 10**9: 10942687833564150102, 10**10: 30396355092886216366}
+
+TABLES_3000 = build_sieve(3000)
+PHI_3000 = np.cumsum(TABLES_3000.phi, dtype=np.int64)
+M_3000 = np.cumsum(TABLES_3000.mu, dtype=np.int64)
+M_ODD_3000 = np.cumsum(np.where(np.arange(3001) % 2 == 1, TABLES_3000.mu, 0), dtype=np.int64)
+
+
+def mertens(n):
+    _, mert = exact._mertens_at_quotients(n, exact._table_size(n))
+    return int(mert(np.array([1]))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3000))
+def test_quotient_recurrence_matches_brute_force(data, n):
+    base = data.draw(st.integers(math.isqrt(n), n - 1), label="base size")
+    big = exact._quotient_values(n, base, PHI_3000.view(np.uint64)[: base + 1],
+                                 lambda m: m * (m + 1) // 2)
+    ks = np.arange(1, n // (base + 1) + 1)
+    assert big[1:].tolist() == PHI_3000[n // ks].tolist()
+    assert exact._totient_at(n, base) == PHI_3000[n]
+    _, mert = exact._mertens_at_quotients(n, base)
+    i = np.arange(1, n + 2)  # every quotient point of n, and 0 at i = n + 1
+    assert mert(i).tolist() == M_3000[n // i].tolist()
+    assert exact._odd_mertens(mert, n, i).tolist() == M_ODD_3000[n // i].tolist()
+
+
+def test_totient_and_mertens_oeis_powers_of_ten():
+    for k in range(1, 10):
+        assert totient_sum(10**k) == PHI_POW10[k - 1], k
+        assert mertens(10**k) == MERTENS_POW10[k - 1], k
+
+
+def test_totient_sum_past_int64():
+    for n, phi in PHI_PAST_INT64.items():
+        assert phi > 2**63
+        assert totient_sum(n) == phi, n
+        assert coprime_ordered_count_mobius(n) == 2 * phi - 1, n
+
+
+def test_over_cap_base_table_fails_before_work(monkeypatch):
+    def no_build(limit):
+        raise AssertionError(f"built a table up to {limit}")
+
+    monkeypatch.setenv("COPRIME_LAB_SIEVE_LIMIT", "10000")
+    monkeypatch.setattr(sieve, "build_sieve", no_build)
+    for call in (lambda: totient_sum(10**7), lambda: odd_coprime_pair_count(10**7),
+                 lambda: coprime_pair_count(10**7), lambda: ktuple_coprime_count(10**7, 3)):
+        with pytest.raises(ResourceLimitError):
+            call()
+
+
+def test_pair_crosscheck_runs_past_the_table_cap(monkeypatch):
+    # n = 2e7 is above the default 1e7 cap, where the check used to be skipped
+    monkeypatch.setattr(exact, "coprime_ordered_count_mobius", lambda n: 0)
+    with pytest.raises(AssertionError, match="cross-check failed"):
+        coprime_pair_count(2 * 10**7)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +595,15 @@ def test_prime_density():
     assert r.reference == 0.0
     vals = [prime_density(10**e).value for e in (3, 4, 5, 6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_prime_density_builds_no_table(monkeypatch):
+    def no_build(limit):
+        raise AssertionError(f"built a table up to {limit}")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_build)
+    r = prime_density(10**7)
+    assert (r.numerator, r.denominator) == (664579, 10**7)
 
 
 def test_density_result_value_is_exact_quotient():
