@@ -10,6 +10,7 @@ in pure Python would take minutes.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from math import isqrt
 
@@ -95,8 +96,8 @@ def prime_count(tables: SieveTables, x: int) -> int:
 def primes_up_to(limit: int) -> np.ndarray:
     """Ascending int64 array of primes <= limit via a plain boolean sieve.
 
-    Cheaper than full tables (1 byte/index); used by the analytic layer,
-    which may need primes well past the default table cap.
+    Cheaper than full tables (1 byte/index); used by the prime density
+    count, which may need primes well past the default table cap.
     """
     if limit < 0 or limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
@@ -129,13 +130,15 @@ def configured_limit() -> int:
 
 
 _shared: SieveTables | None = None
+_shared_lock = threading.Lock()
 
 
 def shared_tables(min_limit: int) -> SieveTables:
     """Process-wide cached tables covering at least min_limit.
 
     Grows geometrically up to the configured cap so repeated callers with
-    increasing needs do not rebuild from scratch each time.
+    increasing needs do not rebuild from scratch each time. Thread-safe:
+    callers that need a larger table at the same time build it once.
     """
     global _shared
     cap = configured_limit()
@@ -144,9 +147,10 @@ def shared_tables(min_limit: int) -> SieveTables:
             f"operation needs sieve tables up to {min_limit}, above the configured "
             f"limit {cap}; raise {SIEVE_LIMIT_ENV} to allow it"
         )
-    if _shared is None or _shared.limit < min_limit:
-        target = max(min_limit, 1024)
-        if _shared is not None:
-            target = max(target, min(2 * _shared.limit, cap))
-        _shared = build_sieve(min(max(target, min_limit), cap))
-    return _shared
+    with _shared_lock:
+        if _shared is None or _shared.limit < min_limit:
+            target = max(min_limit, 1024)
+            if _shared is not None:
+                target = max(target, min(2 * _shared.limit, cap))
+            _shared = build_sieve(min(max(target, min_limit), cap))
+        return _shared

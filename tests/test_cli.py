@@ -53,6 +53,17 @@ def test_const_q3():
     assert "numerator" not in rec and "ci95" not in rec
 
 
+def test_const_euler_product_at_its_floor():
+    (rec,) = run_json(["const", "euler-product", "--eps", "1e-11"])
+    assert rec["params"]["abs_error_bound"] <= 1e-11
+    assert abs(rec["value"] - 6 / math.pi**2) <= 1e-11
+
+
+def test_const_below_floor_exits_2():
+    code, _ = run_lines(["const", "q3", "--eps", "1e-12"])
+    assert code == 2
+
+
 def test_const_delta_inf():
     (rec,) = run_json(["const", "delta", "--dim", "inf", "--eps", "1e-6"])
     assert abs(rec["value"] - 0.353236) < 5e-6

@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from coprime_lab import constants
 from coprime_lab.constants import (
     ConstantValue,
     catalan,
@@ -108,9 +112,45 @@ def test_euler_product_closed_form_agreement():
     assert abs(cv.value - 6 / math.pi**2) <= 1e-9
 
 
-def test_euler_product_larger_p_decreases_value():
-    vals = [euler_product_inv_zeta2(eps).value for eps in (1e-3, 1e-5, 1e-7)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+def test_euler_product_head_partials_decrease_above_value():
+    # the head primes' partial products shrink toward the value, never past it
+    cv = euler_product_inv_zeta2(1e-11)
+    pr = primes_up_to(cv.params["prime_bound"]).astype(np.float64)
+    assert len(pr) == cv.params["primes"]
+    partials = np.cumprod(1.0 - 1.0 / (pr * pr))
+    assert np.all(np.diff(partials) < 0)
+    assert np.all(partials > cv.value - cv.abs_error_bound)
+
+
+def test_euler_product_floor_is_reachable():
+    cv = euler_product_inv_zeta2(1e-11)
+    assert cv.abs_error_bound <= 1e-11
+    assert abs(cv.value - 6 / math.pi**2) <= cv.abs_error_bound
+
+
+def test_constants_need_no_primes_past_1e5(monkeypatch):
+    def capped(limit):
+        if limit > 10**5:
+            raise AssertionError(f"asked for primes up to {limit}")
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(constants, "primes_up_to", capped)
+    for cv in (
+        euler_product_inv_zeta2(1e-11),
+        pairwise_triple_constant(1e-8),
+        delta_determinant_constant(None, 1e-8),
+        delta_determinant_constant(500, 1e-8),
+    ):
+        assert cv.params["prime_bound"] <= 10**5
+
+
+def test_product_eps_floors_are_pinned():
+    with pytest.raises(PrecisionError):
+        euler_product_inv_zeta2(1e-12)
+    with pytest.raises(PrecisionError):
+        pairwise_triple_constant(1e-9)
+    with pytest.raises(PrecisionError):
+        delta_determinant_constant(6, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +237,113 @@ def test_delta_errors():
         delta_determinant_constant(501)
     with pytest.raises(PrecisionError):
         delta_determinant_constant(None, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracle: every Euler product against its certificate
+# ---------------------------------------------------------------------------
+
+# The oracle multiplies the factors of the primes p <= ORACLE_PRIMES in mpmath
+# and sums the rest as sum_s c_s (P(s) - sum_{p <= ORACLE_PRIMES} p^-s), with
+# P = mpmath.primezeta and -log F(x) = sum_s c_s x^s expanded here as
+# sum_m h^m / m for F = 1 - h. The coefficients of these factors grow at most
+# like 4^s, so the series terms past ORACLE_DEGREE are below (4/100)^40.
+ORACLE_PRIMES = 100
+ORACLE_DEGREE = 40
+
+
+def _series_mul(a, b):
+    out = [Fraction(0)] * (ORACLE_DEGREE + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: ORACLE_DEGREE + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _neg_log_coeffs(f):
+    h = [Fraction(0)] + [-Fraction(c) for c in f[1:]]
+    h += [Fraction(0)] * (ORACLE_DEGREE + 1 - len(h))
+    out = [Fraction(0)] * (ORACLE_DEGREE + 1)
+    power = [Fraction(1)] + [Fraction(0)] * ORACLE_DEGREE
+    for m in range(1, ORACLE_DEGREE // 2 + 1):  # h = O(x^2)
+        power = _series_mul(power, h)
+        out = [o + c / m for o, c in zip(out, power)]
+    return out
+
+
+def _delta_factor_series(dim):
+    inner = [Fraction(1)]
+    for k in range(1, min(dim or ORACLE_DEGREE, ORACLE_DEGREE) + 1):
+        inner = _series_mul(inner, [1] + [0] * (k - 1) + [-1])
+    gap = [-c for c in inner]
+    gap[0] += 1
+    f = [-c for c in _series_mul(gap, gap)]
+    f[0] += 1
+    return f
+
+
+def _delta_factor(dim, p):
+    inner = mp.mpf(1)
+    for k in range(1, (dim or 120) + 1):  # 2^-120 is below 30 digits
+        inner *= 1 - p**-k
+    return 1 - (1 - inner) ** 2
+
+
+@lru_cache(maxsize=None)
+def _oracle(name):
+    """The constant to 30 digits: 'inv_zeta2', 'q3' or ('delta', dim)."""
+    if name == "inv_zeta2":
+        f, factor = [1, 0, -1], lambda p: 1 - p**-2
+    elif name == "q3":  # Q = prod_p (1 - 1/p)^2 (1 + 2/p)
+        f, factor = [1, 0, -3, 2], lambda p: (1 - 1 / p) ** 2 * (1 + 2 / p)
+    else:
+        dim = name[1]
+        f, factor = _delta_factor_series(dim), lambda p: _delta_factor(dim, p)
+    primes = [int(p) for p in primes_up_to(ORACLE_PRIMES)]
+    c = _neg_log_coeffs(f)
+    with mp.workdps(30):
+        head = mp.fprod(factor(mp.mpf(p)) for p in primes)
+        tail = mp.fsum(
+            mp.mpf(c[s].numerator) / c[s].denominator
+            * (mp.primezeta(s) - mp.fsum(mp.mpf(p) ** -s for p in primes))
+            for s in range(2, ORACLE_DEGREE + 1)
+            if c[s]
+        )
+        return head * mp.exp(-tail)
+
+
+def test_oracle_matches_closed_forms():
+    with mp.workdps(30):
+        assert abs(_oracle("inv_zeta2") - 6 / mp.pi**2) < mp.mpf(10) ** -28
+        assert abs(_oracle(("delta", 1)) - 6 / mp.pi**2) < mp.mpf(10) ** -28
+        assert abs(_oracle("q3") - mp.mpf("0.28674742843447873410789271279")) < mp.mpf(10) ** -28
+
+
+ORACLE_CASES = [("inv_zeta2", eps) for eps in (1e-6, 1e-9)] + [
+    (name, eps)
+    for name in ("q3", ("delta", 2), ("delta", 3), ("delta", 6), ("delta", 8), ("delta", None))
+    for eps in (1e-6, 1e-8)
+]
+
+
+def _case_id(v):
+    if isinstance(v, tuple):
+        return f"delta{v[1] or '_inf'}"
+    return str(v)
+
+
+@pytest.mark.parametrize("name,eps", ORACLE_CASES, ids=_case_id)
+def test_certificate_against_mpmath_oracle(name, eps):
+    if name == "inv_zeta2":
+        cv = euler_product_inv_zeta2(eps)
+    elif name == "q3":
+        cv = pairwise_triple_constant(eps)
+    else:
+        cv = delta_determinant_constant(name[1], eps)
+    assert cv.abs_error_bound <= eps
+    with mp.workdps(30):
+        assert abs(mp.mpf(cv.value) - _oracle(name)) <= cv.abs_error_bound
 
 
 # ---------------------------------------------------------------------------

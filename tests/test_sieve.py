@@ -1,6 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from coprime_lab import sieve
 from coprime_lab.errors import ResourceLimitError
 from coprime_lab.sieve import (
     MAX_SIEVE_LIMIT,
@@ -152,3 +156,30 @@ def test_primes_up_to():
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(ResourceLimitError):
         primes_up_to(MAX_SIEVE_LIMIT + 1)
+
+
+def test_shared_tables_built_once_by_two_threads(monkeypatch):
+    calls = []
+
+    def counting_build(limit):
+        calls.append(limit)
+        time.sleep(0.05)  # keeps the build open while the other thread asks
+        return build_sieve(limit)
+
+    monkeypatch.setattr(sieve, "build_sieve", counting_build)
+    monkeypatch.setattr(sieve, "_shared", None)
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = sieve.shared_tables(5000)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert results[0] is results[1] and results[0].limit >= 5000
