@@ -6,16 +6,20 @@ combined by integer summation. Results are therefore identical for any
 worker count, and re-running with the same seed reproduces successes
 exactly on any platform.
 
-Determinant trials need exact integer determinants. They are computed by
-fraction-free elimination modulo several 31-bit primes with CRT
-reconstruction; the prime set is chosen so its product exceeds twice the
-Hadamard bound, which makes the reconstruction exact, and the rare lanes
-that hit a zero pivot are recomputed with the pure-integer Bareiss routine
-below.
+Determinant trials need exact integer determinants. Each is a
+division-free minor expansion, with no pivots, computed modulo 2^64 in
+wrapping uint64 and modulo as many primes below 2^28 as it takes for the
+moduli to exceed twice the Hadamard bound (none for dim <= 5 at entries
+below 1000). Signed Garner digits rebuild the determinant in int64 on
+every lane where it fits, and as a Python int on the rare lanes where it
+does not. The pure-integer Bareiss routine below is the oracle: every stack
+checks a lane against it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -204,8 +208,14 @@ def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: in
         a = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
         b = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
         c = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
-        ok = (np.gcd(a, b) == 1) & (np.gcd(a, c) == 1) & (np.gcd(b, c) == 1)
-        return int(np.count_nonzero(ok))
+        # each test runs only on the triples that passed the ones before it;
+        # a triple with two even entries fails at once
+        keep = ((a & b) | (a & c) | (b & c)) & 1 == 1
+        a, b, c = a[keep], b[keep], c[keep]
+        keep = np.gcd(a, b) == 1
+        a, b, c = a[keep], b[keep], c[keep]
+        keep = np.gcd(a, c) == 1
+        return int(np.count_nonzero(np.gcd(b[keep], c[keep]) == 1))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish("triple3", succ, trials, seed, {"range_max": range_max})
@@ -347,104 +357,162 @@ def _is_prime_u64(n: int) -> bool:
     return True
 
 
-def _prime_pool(count: int) -> list[int]:
-    out = []
-    c = (1 << 31) - 1
-    while len(out) < count:
-        if _is_prime_u64(c):
-            out.append(c)
-        c -= 2
-    return out
+#: Modulus of the wrapping uint64 residue, the first CRT modulus.
+_WRAP = 1 << 64
 
+#: The 24 largest primes below 2^28 (each checked by the test suite). With
+#: 2^64 they cover 735 bits of determinant width; dim 8 at the widest
+#: entries the sampler draws (below 2^62) needs 510.
+_CRT_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313,
+    268435291, 268435273, 268435243, 268435183, 268435171, 268435157,
+    268435147, 268435133, 268435129, 268435121, 268435109, 268435091,
+    268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
+)
 
-_CRT_PRIMES = _prime_pool(24)
+#: Lanes per pass of the minor expansion, so a pass's minors stay in cache.
+_DET_CHUNK = 1 << 14
 
 
 def _crt_primes_for(dim: int, entry_max_abs: int) -> list[int]:
-    # product of moduli must exceed twice the Hadamard bound (sqrt(n)*emax)^n
+    # 2^64 times the product of the primes must exceed twice the Hadamard
+    # bound (sqrt(n)*emax)^n; no prime at all when 2^64 alone does
     h = 2 * ((math.isqrt(dim) + 1) * max(entry_max_abs, 1)) ** dim
-    prod = 1
+    prod = _WRAP
     out = []
     for p in _CRT_PRIMES:
+        if prod > h:
+            break
         out.append(p)
         prod *= p
-        if prod > h:
-            return out
-    raise OverflowError(
-        f"determinant width for dim {dim}, entry bound {entry_max_abs} exceeds the CRT pool"
-    )
-
-
-def _dets_mod_p(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a stack of integer matrices modulo a 31-bit prime.
-
-    Division-free cross-multiplication elimination; the surplus pivot powers
-    are divided out with one modular inverse at the end. Lanes that hit a
-    zero pivot (mod p) are flagged for exact recomputation.
-    """
-    a = mats % p
-    L, n, _ = a.shape
-    if n == 1:
-        return a[:, 0, 0].copy(), np.zeros(L, dtype=bool)
-    excess = np.ones(L, dtype=np.int64)
-    bad = np.zeros(L, dtype=bool)
-    for k in range(n - 1):
-        piv = a[:, k, k].copy()
-        bad |= piv == 0
-        piv[piv == 0] = 1  # keeps arithmetic defined on flagged lanes
-        sub = a[:, k + 1 :, k + 1 :]
-        # products stay below p^2 < 2^62
-        a[:, k + 1 :, k + 1 :] = (
-            sub * piv[:, None, None] - a[:, k + 1 :, k, None] * a[:, k, None, k + 1 :]
-        ) % p
-        e = n - 2 - k
-        if e > 0:
-            base = piv.copy()
-            while e:
-                if e & 1:
-                    excess = excess * base % p
-                base = base * base % p
-                e >>= 1
-    inv = np.ones(L, dtype=np.int64)
-    base = excess
-    e = p - 2
-    while e:
-        if e & 1:
-            inv = inv * base % p
-        base = base * base % p
-        e >>= 1
-    return a[:, n - 1, n - 1] * inv % p, bad
-
-
-def _exact_dets(mats: np.ndarray, primes: list[int]) -> list[int]:
-    """Exact determinants for a stack of int64 matrices via CRT residues."""
-    L = mats.shape[0]
-    residues = []
-    bad = np.zeros(L, dtype=bool)
-    for p in primes:
-        d, b = _dets_mod_p(mats, p)
-        residues.append(d.tolist())
-        bad |= b
-    mod = 1
-    garner = []  # (prefix product, its inverse mod next prime)
-    for i, p in enumerate(primes):
-        if i:
-            garner.append((mod, pow(mod, -1, p)))
-        mod *= p
-    half = mod // 2
-    bad_set = set(np.flatnonzero(bad).tolist())
-    out = []
-    for i in range(L):
-        if i in bad_set:
-            out.append(det_bareiss(mats[i].tolist()))
-            continue
-        x = residues[0][i]
-        for j, (pref, pref_inv) in enumerate(garner):
-            x += pref * ((residues[j + 1][i] - x) * pref_inv % primes[j + 1])
-        if x > half:
-            x -= mod
-        out.append(x)
+    if prod <= h:
+        raise OverflowError(
+            f"determinant width for dim {dim}, entry bound {entry_max_abs} exceeds the CRT pool"
+        )
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _minor_schedule(n: int) -> tuple:
+    """Levels k = 2..n of the bottom-up expansion of an n x n determinant.
+
+    Level k has one entry per k-subset S = {c_0 < c_1 < ...} of the columns,
+    in itertools.combinations order: the terms (c_t, index of S minus c_t
+    in level k - 1), so that the minor on the last k rows and columns S is
+    sum_t (-1)^t a[n-k, c_t] * minor(S minus c_t). Level 1 is the last row.
+    """
+    levels = []
+    prev = {(c,): c for c in range(n)}
+    for k in range(2, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        levels.append(
+            tuple(
+                tuple((c, prev[tuple(d for d in cols if d != c)]) for c in cols)
+                for cols in subsets
+            )
+        )
+        prev = {cols: i for i, cols in enumerate(subsets)}
+    return tuple(levels)
+
+
+def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
+    """Determinants modulo m of a stack of int64 matrices, shape (L, n, n).
+
+    m is 2^64 or a prime below 2^28. The determinant is a division-free
+    minor expansion from the bottom row up: 2^n - 1 minors and n * 2^(n-1)
+    multiplies per lane, with no pivot and no inverse, so every lane is
+    exact. It runs on blocks of lanes transposed to (n, n, lanes), so each
+    entry and minor is a contiguous vector.
+
+    Modulo 2^64 the arithmetic is plain wrapping uint64, a ring
+    homomorphism from Z, and the result is returned as its int64 view.
+
+    Modulo p the entries are reduced to [0, p) and every minor to a signed
+    residue r with |r| < p, so each product is below 2^56 and the <= 8
+    signed terms of a minor x stay below 8p^2 < 2^59 in int64. x is reduced
+    without division as x - q*p with q = rint(fl(fl(x) * fl(1/p))): as
+    |x/p| < 8p < 2^31, the three roundings move x/p by less than
+    2^-51 * 2^31 = 2^-20, so |x/p - q| < 1/2 + 2^-20 and |x - q*p| < p. The
+    determinant comes back in [0, p).
+    """
+    lanes, n, _ = mats.shape
+    wrap = m == _WRAP
+    out = np.empty(lanes, dtype=np.uint64 if wrap else np.int64)
+    inv = 1.0 / m
+    for lo in range(0, lanes, _DET_CHUNK):
+        a = mats[lo : lo + _DET_CHUNK].transpose(1, 2, 0)
+        if wrap:
+            a = np.ascontiguousarray(a).view(np.uint64)
+        else:
+            a = np.remainder(a, m, order="C")
+        minors = a[n - 1]
+        tmp = np.empty_like(minors[0])
+        for k, level in enumerate(_minor_schedule(n), start=2):
+            row = a[n - k]
+            nxt = np.empty((len(level), len(tmp)), dtype=a.dtype)
+            for acc, ((c, sub), *rest) in zip(nxt, level):
+                np.multiply(row[c], minors[sub], out=acc)
+                for t, (c, sub) in enumerate(rest):
+                    np.multiply(row[c], minors[sub], out=tmp)
+                    if t & 1:
+                        acc += tmp
+                    else:
+                        acc -= tmp
+            if not wrap:
+                q = np.rint(nxt * inv).astype(np.int64)
+                q *= m
+                nxt -= q
+            minors = nxt
+        out[lo : lo + _DET_CHUNK] = minors[0]
+    return out.view(np.int64) if wrap else out % m
+
+
+def _exact_dets(mats: np.ndarray, primes: list[int]) -> tuple[np.ndarray, dict[int, int]]:
+    """Exact determinants of a stack of int64 matrices, shape (L, n, n).
+
+    Returns (low, wide). low is int64 and low[l] is det(mats[l]) on every
+    lane whose determinant fits int64; wide maps each other lane to its
+    determinant as a Python int.
+
+    The determinant is rebuilt from its residues modulo 2^64 = m_0 and the
+    primes m_1..m_k by Garner's mixed-radix digits in signed form:
+    x = v_0 + sum_i v_i * R_i with R_i = m_0 ... m_(i-1), v_0 in
+    [-2^63, 2^63) (the int64 view of the 2^64 residue) and v_i in
+    (-p_i/2, p_i/2] for i >= 1. Since sum_i (p_i - 1) R_i telescopes to
+    M - 2^64 with M = prod m_i, the largest such x is M/2 - 1 and the
+    smallest -M/2: the digits cover [-M/2, M/2) once, one integer per
+    residue class mod M. With primes from _crt_primes_for, M exceeds twice
+    the Hadamard bound, so the determinant lies in that range and its
+    digits are the ones computed here. Each digit is
+    v_j = (r_j - sum_(i<j) v_i R_i) * R_j^-1 mod p_j, centred, with only
+    inverses of constants. A determinant fits int64 exactly when its higher
+    digits are all 0, and then it is v_0; only the other lanes become
+    Python ints.
+
+    Lane 0 and the first wide lane, if any, are recomputed with det_bareiss;
+    a mismatch raises AssertionError.
+    """
+    low = _dets_mod_p(mats, _WRAP)
+    radices = [1, _WRAP]  # R_0, R_1, ...
+    digits = []  # v_1, v_2, ...
+    for p in primes:
+        # |v_i| < 2^27 and R_i mod p < 2^28: the sum stays below 2^60
+        known = low % p
+        for v, r in zip(digits, radices[1:]):
+            known += v * (r % p)
+        v = (_dets_mod_p(mats, p) - known) % p * pow(radices[-1] % p, -1, p) % p
+        v[v > p // 2] -= p
+        digits.append(v)
+        radices.append(radices[-1] * p)
+    wide = {}
+    if digits:
+        for l in np.flatnonzero(np.any(digits, axis=0)).tolist():
+            wide[l] = int(low[l]) + sum(int(v[l]) * r for v, r in zip(digits, radices[1:]))
+    for l in {0, next(iter(wide), 0)}:
+        got = wide.get(l, int(low[l]))
+        if got != det_bareiss(mats[l].tolist()):
+            raise AssertionError(f"determinant kernel gives {got} on lane {l}, Bareiss disagrees")
+    return low, wide
 
 
 def estimate_det_coprime(
@@ -477,16 +545,13 @@ def estimate_det_coprime(
         return flat.reshape(cnt, dim, dim)
 
     def batch(stream, cnt):
-        a = draw(stream, cnt)
-        b = draw(stream, cnt)
-        if dim == 1:
-            d1 = np.abs(a[:, 0, 0])
-            d2 = np.abs(b[:, 0, 0])
-            return int(np.count_nonzero(np.gcd(d1, d2) == 1))
-        d1 = _exact_dets(a, primes)
-        d2 = _exact_dets(b, primes)
-        g = math.gcd
-        return sum(1 for x, y in zip(d1, d2) if g(x, y) == 1)
+        d1, w1 = _exact_dets(draw(stream, cnt), primes)
+        d2, w2 = _exact_dets(draw(stream, cnt), primes)
+        # np.gcd takes |x| in unsigned arithmetic, so a det of -2^63 is safe
+        ok = np.gcd(d1, d2) == 1
+        for l in w1.keys() | w2.keys():
+            ok[l] = math.gcd(w1.get(l, int(d1[l])), w2.get(l, int(d2[l]))) == 1
+        return int(np.count_nonzero(ok))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish(

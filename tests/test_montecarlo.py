@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coprime_lab import constants, exact
+from coprime_lab import constants, exact, montecarlo
 from coprime_lab.gaussian import GaussianInt, is_coprime
 from coprime_lab.montecarlo import (
     BATCH_SIZE,
@@ -18,6 +20,8 @@ from coprime_lab.montecarlo import (
     gaussian_coprime_mask,
     mix64,
     wilson_interval,
+    _CRT_PRIMES,
+    _DET_CHUNK,
     _exact_dets,
     _crt_primes_for,
     _is_prime_u64,
@@ -260,23 +264,127 @@ def test_bareiss_equals_cofactor_expansion():
         assert det_bareiss(m) == det_cofactor(m)
 
 
+def exact_dets_list(mats, primes):
+    """_exact_dets as one Python int per lane, after checking its output shape
+    and that it left its input alone."""
+    before = mats.copy()
+    low, wide = _exact_dets(mats, primes)
+    assert np.array_equal(mats, before)
+    assert low.dtype == np.int64 and len(low) == len(mats)
+    return [wide.get(i, int(v)) for i, v in enumerate(low)], wide
+
+
 def test_crt_dets_match_bareiss():
     rng = np.random.default_rng(31)
     for emax, n in ((1000, 6), (10**6, 6), (50, 3)):
         primes = _crt_primes_for(n, emax - 1)
         mats = rng.integers(0, emax, size=(300, n, n), dtype=np.int64)
-        # force a zero leading pivot somewhere to exercise the exact fallback
+        # zero leading entries: the old elimination needed a fallback here
         mats[5, 0, 0] = 0
         mats[17, 0, 0] = 0
-        got = _exact_dets(mats, primes)
+        got, _ = exact_dets_list(mats, primes)
         for i in (0, 1, 5, 17, 100, 299):
             assert got[i] == det_bareiss(mats[i].tolist()), (emax, n, i)
 
 
+def hadamard_covered(dim, emax):
+    """2^64 * prod(primes) > 2 * (sqrt(dim) * emax)^dim, in integers."""
+    prod = 2**64 * math.prod(_crt_primes_for(dim, emax))
+    return prod * prod > 4 * dim**dim * emax ** (2 * dim)
+
+
 def test_crt_prime_pool_is_prime_and_sized():
+    assert all(_is_prime_u64(p) for p in _CRT_PRIMES)
+    assert all(p < 2**28 for p in _CRT_PRIMES)
+    assert list(_CRT_PRIMES) == sorted(set(_CRT_PRIMES), reverse=True)
     assert all(_is_prime_u64(p) for p in _crt_primes_for(8, 10**6 - 1))
-    assert len(_crt_primes_for(6, 999)) >= 3
-    assert len(_crt_primes_for(6, 10**6 - 1)) >= 5
+    # the moduli must cover twice the Hadamard bound, the range Garner needs
+    assert hadamard_covered(6, 999)
+    assert hadamard_covered(6, 10**6 - 1)
+    assert hadamard_covered(8, 10**6 - 1)
+    assert hadamard_covered(8, 2**62 - 1)  # the widest entries the sampler draws
+    assert _crt_primes_for(5, 999) == []  # 2^64 alone covers these
+    with pytest.raises(OverflowError):
+        _crt_primes_for(8, 2**100)
+
+
+def edge_lanes(n, emax):
+    """Lanes built to be singular, to start with zeros, or to sit on the int64 edge."""
+    lanes = []
+    if n >= 2:
+        rep = np.ones((n, n), dtype=np.int64)
+        rep[0, 0] = 0
+        lanes.append(rep)  # repeated rows and a zero leading entry
+    lanes.append(np.zeros((n, n), dtype=np.int64))  # zero columns
+    if emax >= 2**60 and n >= 2:
+        for sign in (-1, 1):
+            d = np.eye(n, dtype=np.int64)
+            d[0, 0] = sign * 2**60
+            d[1, 1] = 8
+            lanes.append(d)  # det -2^63 fits int64, det 2^63 does not
+    if emax >= 2**60 and n >= 3:
+        # det 2^64 * p_1: wide although its first Garner digit above v_0 is 0
+        lanes.append(np.diag([2**60, 16, _CRT_PRIMES[0]] + [1] * (n - 3)))
+    return lanes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    bits=st.integers(1, 62),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_dets_match_bareiss_property(n, bits, signed, seed):
+    rng = np.random.default_rng(seed)
+    emax = 2**bits - 1
+    lo = -emax if signed else 0
+    mats = rng.integers(lo, emax, size=(24, n, n), dtype=np.int64, endpoint=True)
+    mats[1, :, n - 1] = 0  # zero column
+    mats[2, 0, 0] = 0  # zero leading entry
+    if n >= 2:
+        mats[3, n - 1] = mats[3, 0]  # repeated row
+        mats[4, :, 1] = mats[4, :, 0]  # repeated column
+    mats = np.concatenate([mats, np.array(edge_lanes(n, emax)).reshape(-1, n, n)])
+    got, wide = exact_dets_list(mats, _crt_primes_for(n, emax))
+    for i, m in enumerate(mats):
+        want = det_bareiss(m.tolist())
+        assert got[i] == want, (i, m.tolist())
+        assert (i in wide) == (not -(2**63) <= want < 2**63)
+
+
+def test_exact_dets_int64_edge():
+    dets, wide = exact_dets_list(np.array(edge_lanes(2, 2**62 - 1)), _crt_primes_for(2, 2**62 - 1))
+    assert dets[-2:] == [-(2**63), 2**63]
+    assert set(wide) == {len(dets) - 1}
+    for n in (3, 8):
+        dets, wide = exact_dets_list(np.array(edge_lanes(n, 2**62 - 1)), _crt_primes_for(n, 2**62 - 1))
+        assert dets[-3:] == [-(2**63), 2**63, 2**64 * _CRT_PRIMES[0]]
+        assert set(wide) == {len(dets) - 2, len(dets) - 1}
+
+
+def test_exact_dets_across_lane_blocks():
+    # the kernel runs in blocks of _DET_CHUNK lanes; lanes on either side of
+    # each block edge must come out right
+    rng = np.random.default_rng(5)
+    mats = rng.integers(-1000, 1000, size=(2 * _DET_CHUNK + 3, 4, 4), dtype=np.int64)
+    got, _ = exact_dets_list(mats, _crt_primes_for(4, 1000))
+    for i in (0, _DET_CHUNK - 1, _DET_CHUNK, 2 * _DET_CHUNK, len(mats) - 1):
+        assert got[i] == det_bareiss(mats[i].tolist()), i
+
+
+def test_exact_dets_cross_check_raises_on_mismatch(monkeypatch):
+    mats = np.eye(3, dtype=np.int64)[None].repeat(4, axis=0)
+    monkeypatch.setattr(montecarlo, "det_bareiss", lambda rows: 2)
+    with pytest.raises(AssertionError):
+        _exact_dets(mats, [])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_det_benchmark_counts_are_pinned(threads):
+    # the Monte Carlo pins of the benchmark's two det operations
+    assert estimate_det_coprime(6, 1000, 200_000, seed=1003, threads=threads).successes == 71642
+    assert estimate_det_coprime(3, 10, 200_000, seed=1004, threads=threads).successes == 74664
 
 
 def test_det_dim1_matches_pair_density():
