@@ -46,7 +46,7 @@ from .montecarlo import (
     estimate_pairwise_triple,
     wilson_interval,
 )
-from .sieve import SieveTables, build_sieve, prime_count, primes_up_to
+from .sieve import SieveTables, build_sieve, primes_up_to
 
 __all__ = [
     "__version__",
@@ -82,7 +82,6 @@ __all__ = [
     "odd_coprime_pair_count",
     "pairwise_coprime_triple_count",
     "pairwise_triple_constant",
-    "prime_count",
     "prime_density",
     "primes_up_to",
     "reference_constant",

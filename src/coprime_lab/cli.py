@@ -12,8 +12,10 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__, constants, exact, montecarlo
 from .errors import ResourceLimitError
@@ -66,20 +68,10 @@ class ExperimentRecord:
         return json.dumps(doc, separators=(", ", ": "))
 
     def csv_row(self) -> str:
-        cols = [
-            self.experiment,
-            "" if self.n is None else str(self.n),
-            "" if self.numerator is None else str(self.numerator),
-            "" if self.denominator is None else str(self.denominator),
-            _fmt_real(self.value),
-            "" if self.reference is None else _fmt_real(self.reference),
-            "" if self.abs_gap is None else _fmt_real(self.abs_gap),
-            "" if self.ci95 is None else _fmt_real(self.ci95[0]),
-            "" if self.ci95 is None else _fmt_real(self.ci95[1]),
-            "" if self.seed is None else str(self.seed),
-            str(self.elapsed_ms),
-        ]
-        return ",".join(cols)
+        reals = (self.value, self.reference, self.abs_gap, *(self.ci95 or (None, None)))
+        cols = [self.experiment, self.n, self.numerator, self.denominator]
+        cols += [None if x is None else _fmt_real(x) for x in reals] + [self.seed, self.elapsed_ms]
+        return ",".join("" if c is None else str(c) for c in cols)
 
 
 def _from_density(res: exact.DensityResult, params: dict) -> ExperimentRecord:
@@ -122,8 +114,67 @@ def _from_mc(est: montecarlo.McEstimate, n) -> ExperimentRecord:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Experiments
 # ---------------------------------------------------------------------------
+
+
+class Exact(NamedTuple):
+    flags: tuple[str, ...]  # required and recorded in params; the first is the size
+    call: Callable  # args -> exact.DensityResult
+
+
+class Const(NamedTuple):
+    call: Callable  # (args, eps) -> constants.ConstantValue
+    n: str | None = None  # flag recorded as n and first in params
+    eps: float | None = 1e-9  # default tolerance; None for a constant that takes none
+
+
+class Mc(NamedTuple):
+    n: str  # flag recorded as n
+    call: Callable  # args -> montecarlo.McEstimate
+
+
+# Each experiment is declared once, here; the parser's choices, the flag
+# check, dispatch and convergence read these tables. Calls look library
+# functions up when they run, so a patched or wrapped function is the one
+# called.
+EXACT = {
+    "pair": Exact(("n",), lambda a: exact.coprime_pair_count(a.n)),
+    "odd-pair": Exact(("n",), lambda a: exact.odd_coprime_pair_count(a.n)),
+    "gcd-eq": Exact(("n", "t"), lambda a: exact.gcd_equal_count(a.n, a.t)),
+    "ktuple": Exact(("n", "k"), lambda a: exact.ktuple_coprime_count(a.n, a.k)),
+    "triple3": Exact(("n",), lambda a: exact.pairwise_coprime_triple_count(a.n)),
+    "squarefree": Exact(("n",), lambda a: exact.squarefree_count(a.n)),
+    "kfree": Exact(("n", "j"), lambda a: exact.kfree_count(a.n, a.j)),
+    "visible": Exact(("radius",), lambda a: exact.visible_points_in_disk(a.radius)),
+    "fgcd": Exact(("n", "f"), lambda a: exact.f_gcd_density(a.n, _function_spec(a))),
+    "prime-density": Exact(("x",), lambda a: exact.prime_density(a.x)),
+}
+
+CONST = {
+    "zeta": Const(lambda a, eps: constants.zeta(a.k, eps), "k"),
+    "invzeta": Const(lambda a, eps: constants.inv_zeta(a.k, eps), "k"),
+    "euler-product": Const(lambda a, eps: constants.euler_product_inv_zeta2(eps)),
+    "catalan": Const(lambda a, eps: constants.catalan(eps)),
+    "gaussian": Const(lambda a, eps: constants.gaussian_coprime_constant(eps)),
+    # Q and delta certify down to 1e-8
+    "q3": Const(lambda a, eps: constants.pairwise_triple_constant(eps), eps=1e-8),
+    "delta": Const(lambda a, eps: constants.delta_determinant_constant(a.dim, eps), "dim", 1e-8),
+    "odd": Const(lambda a, eps: constants.reference_constant("odd_pair"), eps=None),
+    "pair": Const(lambda a, eps: constants.reference_constant("pair"), eps=None),
+}
+
+MC = {
+    "pair": Mc("max", lambda a: montecarlo.estimate_coprime_pair(a.max, a.trials, a.seed, a.threads)),
+    "triple3": Mc("max", lambda a: montecarlo.estimate_pairwise_triple(a.max, a.trials, a.seed, a.threads)),
+    "gaussian": Mc("box", lambda a: montecarlo.estimate_gaussian_coprime(a.box, a.trials, a.seed, a.threads)),
+    "det": Mc("entry_max", lambda a: montecarlo.estimate_det_coprime(
+        a.dim, a.entry_max, a.trials, a.seed, a.threads, symmetric_entries=a.symmetric_entries)),
+}
+
+#: Exact experiments whose only flag is their size, triple3 (whose large
+#: sizes fall back to Monte Carlo) last.
+CONVERGENCE = tuple(sorted((op for op, e in EXACT.items() if len(e.flags) == 1), key=lambda op: op == "triple3"))
 
 
 def _function_spec(args) -> exact.FunctionSpec:
@@ -138,124 +189,58 @@ def _function_spec(args) -> exact.FunctionSpec:
 
 
 def _run_exact(args) -> list[ExperimentRecord]:
-    op = args.operation
-    if op == "pair":
-        return [_from_density(exact.coprime_pair_count(args.n), {"n": args.n})]
-    if op == "odd-pair":
-        return [_from_density(exact.odd_coprime_pair_count(args.n), {"n": args.n})]
-    if op == "gcd-eq":
-        res = exact.gcd_equal_count(args.n, args.t)
-        return [_from_density(res, {"n": args.n, "t": args.t})]
-    if op == "ktuple":
-        res = exact.ktuple_coprime_count(args.n, args.k)
-        return [_from_density(res, {"n": args.n, "k": args.k})]
-    if op == "triple3":
-        return [_from_density(exact.pairwise_coprime_triple_count(args.n), {"n": args.n})]
-    if op == "squarefree":
-        return [_from_density(exact.squarefree_count(args.n), {"n": args.n})]
-    if op == "kfree":
-        res = exact.kfree_count(args.n, args.j)
-        return [_from_density(res, {"n": args.n, "j": args.j})]
-    if op == "visible":
-        res = exact.visible_points_in_disk(args.radius)
-        return [_from_density(res, {"radius": args.radius})]
-    if op == "fgcd":
-        spec = _function_spec(args)
-        res = exact.f_gcd_density(args.n, spec)
-        return [_from_density(res, {"n": args.n, "f": spec.label()})]
-    if op == "prime-density":
-        return [_from_density(exact.prime_density(args.x), {"x": args.x})]
-    raise ValueError(f"unknown exact operation {op!r}")
+    entry = EXACT[args.operation]
+    for flag in entry.flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for this operation")
+    # the growth function is recorded by its label
+    params = {f: _function_spec(args).label() if f == "f" else getattr(args, f) for f in entry.flags}
+    return [_from_density(entry.call(args), params)]
 
 
 def _run_const(args) -> list[ExperimentRecord]:
-    op = args.operation
-    eps = args.eps
-    if eps is None:
-        # Q and delta certify down to 1e-8; everything else defaults to 1e-9
-        eps = 1e-8 if op in ("q3", "delta") else 1e-9
-    if op == "zeta":
-        return [_from_constant("const_zeta", args.k, constants.zeta(args.k, eps), {"k": args.k, "eps": eps})]
-    if op == "invzeta":
-        return [_from_constant("const_invzeta", args.k, constants.inv_zeta(args.k, eps), {"k": args.k, "eps": eps})]
-    if op == "euler-product":
-        return [_from_constant("const_euler_product", None, constants.euler_product_inv_zeta2(eps), {"eps": eps})]
-    if op == "catalan":
-        return [_from_constant("const_catalan", None, constants.catalan(eps), {"eps": eps})]
-    if op == "gaussian":
-        return [_from_constant("const_gaussian", None, constants.gaussian_coprime_constant(eps), {"eps": eps})]
-    if op == "q3":
-        return [_from_constant("const_q3", None, constants.pairwise_triple_constant(eps), {"eps": eps})]
-    if op == "delta":
-        dim = None if args.dim in (None, "inf") else int(args.dim)
-        cv = constants.delta_determinant_constant(dim, eps)
-        return [_from_constant("const_delta", dim, cv, {"dim": "inf" if dim is None else dim, "eps": eps})]
-    if op == "odd":
-        return [_from_constant("const_odd", None, constants.reference_constant("odd_pair"), {})]
-    if op == "pair":
-        return [_from_constant("const_pair", None, constants.reference_constant("pair"), {})]
-    raise ValueError(f"unknown const operation {op!r}")
+    entry = CONST[args.operation]
+    n = None if entry.n is None else getattr(args, entry.n)
+    params = {} if entry.n is None else {entry.n: "inf" if n is None else n}  # --dim inf parses to None
+    if entry.eps is not None:
+        params["eps"] = entry.eps if args.eps is None else args.eps
+    cv = entry.call(args, params.get("eps"))
+    return [_from_constant("const_" + args.operation.replace("-", "_"), n, cv, params)]
 
 
 def _run_mc(args) -> list[ExperimentRecord]:
-    op = args.operation
-    threads = args.threads
-    if op == "pair":
-        est = montecarlo.estimate_coprime_pair(args.max, args.trials, args.seed, threads)
-        return [_from_mc(est, args.max)]
-    if op == "triple3":
-        est = montecarlo.estimate_pairwise_triple(args.max, args.trials, args.seed, threads)
-        return [_from_mc(est, args.max)]
-    if op == "gaussian":
-        est = montecarlo.estimate_gaussian_coprime(args.box, args.trials, args.seed, threads)
-        return [_from_mc(est, args.box)]
-    if op == "det":
-        est = montecarlo.estimate_det_coprime(
-            args.dim, args.entry_max, args.trials, args.seed, threads,
-            symmetric_entries=args.symmetric_entries,
-        )
-        return [_from_mc(est, args.entry_max)]
-    raise ValueError(f"unknown mc operation {op!r}")
+    entry = MC[args.operation]
+    return [_from_mc(entry.call(args), getattr(args, entry.n))]
 
 
-_CONVERGENCE_KINDS = ("pair", "odd-pair", "squarefree", "visible", "prime-density", "triple3")
+def _run_report(args) -> list[ExperimentRecord]:
+    return convergence(args.experiment, [int(s) for s in args.ns.split(",") if s], args.seed, args.threads)
 
 
 def convergence(kind: str, ns: list[int], seed: int | None = None, threads: int = 1) -> list[ExperimentRecord]:
     """One record per n, ascending, plus a closing reference-constant row.
 
-    triple3 sizes beyond the brute-force bound run the Monte Carlo estimator
-    and then require a seed.
+    Each n is the size flag of the exact experiment. triple3 sizes beyond the
+    brute-force bound run the Monte Carlo estimator and then require a seed.
     """
     if not ns:
         raise ValueError("--ns needs at least one size")
     if list(ns) != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("--ns must be strictly ascending")
+    if kind not in CONVERGENCE:
+        raise ValueError(f"convergence supports {CONVERGENCE}, got {kind!r}")
     records = []
     for n in ns:
         t0 = time.perf_counter()
-        if kind == "pair":
-            rec = _from_density(exact.coprime_pair_count(n), {"n": n})
-        elif kind == "odd-pair":
-            rec = _from_density(exact.odd_coprime_pair_count(n), {"n": n})
-        elif kind == "squarefree":
-            rec = _from_density(exact.squarefree_count(n), {"n": n})
-        elif kind == "visible":
-            rec = _from_density(exact.visible_points_in_disk(n), {"radius": n})
-        elif kind == "prime-density":
-            rec = _from_density(exact.prime_density(n), {"x": n})
-        elif kind == "triple3":
-            if n <= exact.TRIPLE_BRUTE_BOUND:
-                rec = _from_density(exact.pairwise_coprime_triple_count(n), {"n": n})
-            elif seed is None:
-                raise ResourceLimitError(
-                    f"triple3 beyond n = {exact.TRIPLE_BRUTE_BOUND} runs Monte Carlo; pass --seed"
-                )
-            else:
-                est = montecarlo.estimate_pairwise_triple(n, CONVERGENCE_MC_TRIALS, seed, threads)
-                rec = _from_mc(est, n)
+        if kind != "triple3" or n <= exact.TRIPLE_BRUTE_BOUND:
+            (rec,) = _run_exact(argparse.Namespace(operation=kind, **{EXACT[kind].flags[0]: n}))
+        elif seed is None:
+            raise ResourceLimitError(
+                f"triple3 beyond n = {exact.TRIPLE_BRUTE_BOUND} runs Monte Carlo; pass --seed"
+            )
         else:
-            raise ValueError(f"convergence supports {_CONVERGENCE_KINDS}, got {kind!r}")
+            est = montecarlo.estimate_pairwise_triple(n, CONVERGENCE_MC_TRIALS, seed, threads)
+            rec = _from_mc(est, n)
         rec.elapsed_ms = int(1000 * (time.perf_counter() - t0))
         records.append(rec)
     ref = records[-1].reference
@@ -292,6 +277,11 @@ def positive_finite_float(text: str) -> float:
     return val
 
 
+def dimension(text: str) -> int | None:
+    """A matrix dimension, or None for 'inf' (the limit)."""
+    return None if text == "inf" else int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -302,11 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="exact sieve-based counts", parents=[common])
-    p_exact.add_argument(
-        "operation",
-        choices=("pair", "odd-pair", "gcd-eq", "ktuple", "triple3", "squarefree",
-                 "kfree", "visible", "fgcd", "prime-density"),
-    )
+    p_exact.set_defaults(run=_run_exact)
+    p_exact.add_argument("operation", choices=EXACT)
     p_exact.add_argument("--n", type=int)
     p_exact.add_argument("--t", type=int)
     p_exact.add_argument("--k", type=int)
@@ -318,16 +305,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--x", type=int)
 
     p_const = sub.add_parser("const", help="analytic constants with error bounds", parents=[common])
-    p_const.add_argument(
-        "operation",
-        choices=("zeta", "invzeta", "euler-product", "catalan", "gaussian", "q3", "delta", "odd", "pair"),
-    )
+    p_const.set_defaults(run=_run_const)
+    p_const.add_argument("operation", choices=CONST)
     p_const.add_argument("--k", type=int, default=2)
-    p_const.add_argument("--dim", default=None, help="matrix dimension or 'inf'")
+    p_const.add_argument("--dim", type=dimension, default=None, help="matrix dimension or 'inf'")
     p_const.add_argument("--eps", type=positive_finite_float, default=None, help="tolerance (default 1e-9; 1e-8 for q3/delta)")
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimates", parents=[common])
-    p_mc.add_argument("operation", choices=("pair", "triple3", "gaussian", "det"))
+    p_mc.set_defaults(run=_run_mc)
+    p_mc.add_argument("operation", choices=MC)
     p_mc.add_argument("--max", type=int, default=10**9)
     p_mc.add_argument("--box", type=int, default=1000)
     p_mc.add_argument("--dim", type=int, default=2)
@@ -337,18 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--symmetric-entries", action="store_true")
 
     p_rep = sub.add_parser("report", help="convergence tables", parents=[common])
+    p_rep.set_defaults(run=_run_report)
     p_rep.add_argument("operation", choices=("convergence",))
-    p_rep.add_argument("--experiment", required=True, choices=_CONVERGENCE_KINDS)
+    p_rep.add_argument("--experiment", required=True, choices=CONVERGENCE)
     p_rep.add_argument("--ns", required=True, help="comma-separated ascending sizes")
     p_rep.add_argument("--seed", type=int, default=None)
 
     return parser
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise ValueError(f"--{name} is required for this operation")
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
@@ -376,22 +357,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
 def _execute(args, out) -> int:
     try:
         t0 = time.perf_counter()
-        if args.command == "exact":
-            needed = {
-                "pair": ["n"], "odd-pair": ["n"], "gcd-eq": ["n", "t"],
-                "ktuple": ["n", "k"], "triple3": ["n"], "squarefree": ["n"],
-                "kfree": ["n", "j"], "visible": ["radius"], "fgcd": ["n"],
-                "prime-density": ["x"],
-            }[args.operation]
-            _require(args, needed)
-            records = _run_exact(args)
-        elif args.command == "const":
-            records = _run_const(args)
-        elif args.command == "mc":
-            records = _run_mc(args)
-        else:
-            ns = [int(s) for s in args.ns.split(",") if s]
-            records = convergence(args.experiment, ns, args.seed, args.threads)
+        records = args.run(args)
         elapsed = int(1000 * (time.perf_counter() - t0))
         for rec in records:
             if not rec.elapsed_ms:

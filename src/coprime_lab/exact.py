@@ -351,6 +351,8 @@ def iroot(x: int, k: int) -> int:
         raise ValueError(f"need x >= 0 and k >= 1, got x={x}, k={k}")
     if x == 0 or k == 1:
         return x
+    if x.bit_length() <= k:  # 1 <= x < 2^k; also spares Newton a huge r^(k-1)
+        return 1
     if k == 2:
         return isqrt(x)
     r = 1 << -(-x.bit_length() // k)
@@ -437,7 +439,7 @@ def _floor_values(spec: FunctionSpec, n: int):
                 return _isqrt_vec(2 * m * m)
         else:
             a, b = spec.alpha.numerator, spec.alpha.denominator
-            if n * a <= _INT64_MAX // 2:
+            if n * a <= _INT64_MAX // 2 and b <= _INT64_MAX:
                 m = np.arange(1, n + 1, dtype=np.int64)
                 return (m * a) // b
     else:

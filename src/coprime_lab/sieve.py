@@ -1,4 +1,4 @@
-"""Multiplicative-function tables: mu, phi and primes.
+"""Multiplicative-function tables: mu and phi, plus a plain prime sieve.
 
 Everything downstream that counts exactly reads from one immutable
 :class:`SieveTables`. Tables are built with vectorised numpy passes over
@@ -32,15 +32,13 @@ SIEVE_LIMIT_ENV = "COPRIME_LAB_SIEVE_LIMIT"
 class SieveTables:
     """Arrays indexed 1..limit (index 0 is unused and zeroed).
 
-    mu[n] in {-1, 0, +1}, phi[n] = Euler totient, primes = ascending array
-    of primes <= limit.
+    mu[n] in {-1, 0, +1}, phi[n] = Euler totient.
     Arrays are marked read-only; a built table may be shared across threads.
     """
 
     limit: int
     mu: np.ndarray
     phi: np.ndarray
-    primes: np.ndarray
 
 
 def build_sieve(limit: int) -> SieveTables:
@@ -75,22 +73,14 @@ def build_sieve(limit: int) -> SieveTables:
     big = rem > 1
     phi[big] *= rem[big] - 1
     mu[big] = -mu[big]
-    primes = (np.flatnonzero(phi[2:] == idx[2:] - 1) + 2).astype(np.int64)
     mu[0] = 0
     phi[0] = 0
     if n >= 1:
         mu[1] = 1
         phi[1] = 1
-    for arr in (mu, phi, primes):
+    for arr in (mu, phi):
         arr.flags.writeable = False
-    return SieveTables(limit=n, mu=mu, phi=phi, primes=primes)
-
-
-def prime_count(tables: SieveTables, x: int) -> int:
-    """pi(x): number of primes <= x. Requires 0 <= x <= tables.limit."""
-    if x < 0 or x > tables.limit:
-        raise ValueError(f"x must be in [0, {tables.limit}], got {x}")
-    return int(np.searchsorted(tables.primes, x, side="right"))
+    return SieveTables(limit=n, mu=mu, phi=phi)
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -139,6 +129,10 @@ def shared_tables(min_limit: int) -> SieveTables:
     Grows geometrically up to the configured cap so repeated callers with
     increasing needs do not rebuild from scratch each time. Thread-safe:
     callers that need a larger table at the same time build it once.
+
+    The cache holds one table: growth replaces it rather than adding to it,
+    so its size is bounded by :func:`configured_limit`, 5 bytes per index
+    (int8 mu plus int32 phi), about 50 MB at the default cap of 1e7.
     """
     global _shared
     cap = configured_limit()

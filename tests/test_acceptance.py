@@ -15,7 +15,6 @@ import numpy as np
 from coprime_lab import constants, exact, montecarlo
 from coprime_lab.exact import FunctionSpec
 from coprime_lab.gaussian import GaussianInt, is_coprime
-from coprime_lab.sieve import build_sieve, prime_count
 
 
 def _cli_json(args, timeout=120.0):
@@ -233,9 +232,8 @@ def test_criterion_12_fgcd_pow15():
 
 
 def test_criterion_13_prime_density():
-    t = build_sieve(10**6)
-    assert prime_count(t, 10**6) == 78498
-    dens = [prime_count(t, 10**e) / 10**e for e in (3, 4, 5, 6)]
+    assert exact.prime_density(10**6).numerator == 78498
+    dens = [exact.prime_density(10**e).value for e in (3, 4, 5, 6)]
     assert all(a > b for a, b in zip(dens, dens[1:]))
     print("ACCEPTANCE 13 prime density (pi(1e6) = 78498, strictly decreasing): PASS")
 

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,30 @@ def test_fgcd_cli_forms():
     (rec,) = run_json(["exact", "fgcd", "--n", "20", "--f", "alpha_n", "--alpha", "2.5"])
     brute = sum(1 for m in range(1, 21) if math.gcd(m, int(2.5 * m)) == 1)
     assert rec["numerator"] == brute
+
+
+def test_fgcd_cli_tiny_exponent_returns_at_once():
+    # c = 1/10^400 floors every m^c to 1, so all five m count; a fresh
+    # process, so that a hang fails on the timeout
+    argv = ["exact", "fgcd", "--n", "5", "--f", "pow_c", "--c", "1e-400"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "coprime_lab.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert (rec["numerator"], rec["denominator"]) == (5, 5)
+
+
+def test_fgcd_cli_tiny_alpha():
+    # alpha = 1e-400 floors every alpha*m to 0; only m = 1 counts
+    (rec,) = run_json(["exact", "fgcd", "--n", "10", "--f", "alpha_n", "--alpha", "1e-400"])
+    assert (rec["numerator"], rec["denominator"]) == (1, 10)
+
+
+def test_const_dim_must_be_int_or_inf(capsys):
+    code, lines = run_lines(["const", "delta", "--dim", "abc"])
+    assert code == 2 and lines == []
+    assert "--dim" in capsys.readouterr().err
 
 
 def test_convergence_pair_gap_decreases():
@@ -218,3 +244,199 @@ def test_const_eps_must_be_finite_and_positive(eps, capsys):
     code, lines = run_lines(["const", "zeta", "--k", "3", f"--eps={eps}"])
     assert code == 2 and lines == []
     assert "--eps" in capsys.readouterr().err
+
+
+# One small command per experiment of each subcommand, one convergence table
+# and two CSV runs, captured whole from the program: params and their key
+# order, the CSV n column and the const_ tags are all pinned.
+RECORDS = {
+    "exact pair --n 10": [
+        {"experiment": "pair", "params": {"n": 10}, "numerator": 31, "denominator": 45,
+         "value": 0.688888888889, "reference": 0.607927101854, "abs_gap": 0.0809617870349,
+         "n": "10"},
+    ],
+    "exact odd-pair --n 10": [
+        {"experiment": "odd_pair", "params": {"n": 10}, "numerator": 9, "denominator": 10,
+         "value": 0.9, "reference": 0.810569469139, "abs_gap": 0.0894305308613, "n": "10"},
+    ],
+    "exact gcd-eq --n 100 --t 3": [
+        {"experiment": "gcd_eq", "params": {"n": 100, "t": 3}, "numerator": 343,
+         "denominator": 4950, "value": 0.0692929292929, "reference": 0.0675474557616,
+         "abs_gap": 0.00174547353137, "n": "100"},
+    ],
+    "exact ktuple --n 100 --k 4": [
+        {"experiment": "ktuple", "params": {"n": 100, "k": 4}, "numerator": 92434863,
+         "denominator": 100000000, "value": 0.92434863, "reference": 0.923938403132,
+         "abs_gap": 0.000410226867672, "n": "100"},
+    ],
+    "exact triple3 --n 50": [
+        {"experiment": "triple3", "params": {"n": 50}, "numerator": 36784,
+         "denominator": 125000, "value": 0.294272, "reference": 0.286747428434,
+         "abs_gap": 0.00752457156552, "n": "50"},
+    ],
+    "exact squarefree --n 100": [
+        {"experiment": "squarefree", "params": {"n": 100}, "numerator": 61, "denominator": 100,
+         "value": 0.61, "reference": 0.607927101946, "abs_gap": 0.00207289805371, "n": "100"},
+    ],
+    "exact kfree --n 100 --j 3": [
+        {"experiment": "kfree", "params": {"n": 100, "j": 3}, "numerator": 85,
+         "denominator": 100, "value": 0.85, "reference": 0.831907372753,
+         "abs_gap": 0.0180926272469, "n": "100"},
+    ],
+    "exact visible --radius 10": [
+        {"experiment": "visible", "params": {"radius": 10}, "numerator": 192,
+         "denominator": 316, "value": 0.607594936709, "reference": 0.607927101854,
+         "abs_gap": 0.000332165145166, "n": "10"},
+    ],
+    "exact fgcd --n 50 --f pow_c --c 1.5": [
+        {"experiment": "fgcd", "params": {"n": 50, "f": "n^3/2"}, "numerator": 27,
+         "denominator": 50, "value": 0.54, "reference": 0.607927101854,
+         "abs_gap": 0.067927101854, "n": "50"},
+    ],
+    "exact prime-density --x 100": [
+        {"experiment": "prime_density", "params": {"x": 100}, "numerator": 25,
+         "denominator": 100, "value": 0.25, "reference": 0.0, "abs_gap": 0.25, "n": "100"},
+    ],
+    "const zeta --k 3 --eps 1e-12": [
+        {"experiment": "const_zeta",
+         "params": {"k": 3, "eps": 1e-12, "abs_error_bound": 5.018441247739167e-13,
+             "method": "series", "terms": 840},
+         "value": 1.20205690316, "n": "3"},
+    ],
+    "const invzeta --k 4 --eps 1e-10": [
+        {"experiment": "const_invzeta",
+         "params": {"k": 4, "eps": 1e-10, "abs_error_bound": 2.1265074458859453e-11,
+             "method": "series", "terms": 105},
+         "value": 0.923938402943, "n": "4"},
+    ],
+    "const euler-product --eps 1e-9": [
+        {"experiment": "const_euler_product",
+         "params": {"eps": 1e-09, "abs_error_bound": 1.9444526243970554e-14,
+             "method": "euler_product", "prime_bound": 1000, "primes": 168,
+             "tail": "prime_zeta"},
+         "value": 0.607927101854, "n": ""},
+    ],
+    "const catalan": [
+        {"experiment": "const_catalan",
+         "params": {"eps": 1e-09, "abs_error_bound": 8.998048570754121e-10,
+             "method": "alternating_series", "terms": 16668},
+         "value": 0.915965593727, "n": ""},
+    ],
+    "const gaussian": [
+        {"experiment": "const_gaussian",
+         "params": {"eps": 1e-09, "abs_error_bound": 3.2603352750779577e-10,
+             "method": "alternating_series", "catalan_terms": 23571},
+         "value": 0.663700804451, "n": ""},
+    ],
+    "const q3": [
+        {"experiment": "const_q3",
+         "params": {"eps": 1e-08, "abs_error_bound": 5.765648534948939e-14,
+             "method": "euler_product", "prime_bound": 1000, "primes": 168,
+             "tail": "prime_zeta"},
+         "value": 0.286747428434, "n": ""},
+    ],
+    "const delta": [
+        {"experiment": "const_delta",
+         "params": {"dim": "inf", "eps": 1e-08, "abs_error_bound": 5.845513511338589e-14,
+             "method": "euler_product", "prime_bound": 1000, "primes": 168,
+             "tail": "prime_zeta"},
+         "value": 0.353236371855, "n": ""},
+    ],
+    "const odd": [
+        {"experiment": "const_odd",
+         "params": {"abs_error_bound": 7.19930310156782e-16, "method": "closed_form"},
+         "value": 0.810569469139, "n": ""},
+    ],
+    "const pair": [
+        {"experiment": "const_pair",
+         "params": {"abs_error_bound": 5.399477326175865e-16, "method": "closed_form"},
+         "value": 0.607927101854, "n": ""},
+    ],
+    "mc pair --max 1000 --trials 20000 --seed 42": [
+        {"experiment": "pair",
+         "params": {"range_max": 1000, "generator": "splitmix64", "batch_size": 65536,
+             "trials": 20000, "successes": 12157},
+         "value": 0.60785, "reference": 0.607927101854, "abs_gap": 7.71018540267e-05,
+         "ci95": [0.601063510849, 0.614595066973], "seed": 42, "n": "1000"},
+    ],
+    "mc triple3 --max 5000 --trials 20000 --seed 9": [
+        {"experiment": "triple3",
+         "params": {"range_max": 5000, "generator": "splitmix64", "batch_size": 65536,
+             "trials": 20000, "successes": 5756},
+         "value": 0.2878, "reference": 0.286747428434, "abs_gap": 0.00105257156552,
+         "ci95": [0.281566715116, 0.294114784987], "seed": 9, "n": "5000"},
+    ],
+    "mc gaussian --box 100 --trials 20000 --seed 3": [
+        {"experiment": "gaussian",
+         "params": {"box_half_width": 100, "generator": "splitmix64", "batch_size": 65536,
+             "trials": 20000, "successes": 13317},
+         "value": 0.66585, "reference": 0.663700804451, "abs_gap": 0.00214919554917,
+         "ci95": [0.659281497044, 0.672354804595], "seed": 3, "n": "100"},
+    ],
+    "mc det --dim 3 --entry-max 10 --trials 20000 --seed 5": [
+        {"experiment": "det",
+         "params": {"dim": 3, "entry_max": 10, "symmetric_entries": False, "crt_primes": 0,
+             "generator": "splitmix64", "batch_size": 65536, "trials": 20000,
+             "successes": 7412},
+         "value": 0.3706, "reference": 0.396940351456, "abs_gap": 0.0263403514564,
+         "ci95": [0.363932009159, 0.377317689773], "seed": 5, "n": "10"},
+    ],
+    "report convergence --experiment visible --ns 5,50": [
+        {"experiment": "visible", "params": {"radius": 5}, "numerator": 48, "denominator": 80,
+         "value": 0.6, "reference": 0.607927101854, "abs_gap": 0.00792710185403, "n": "5"},
+        {"experiment": "visible", "params": {"radius": 50}, "numerator": 4776,
+         "denominator": 7844, "value": 0.608873023967, "reference": 0.607927101854,
+         "abs_gap": 0.000945922113337, "n": "50"},
+        {"experiment": "visible", "params": {"reference_row": True}, "value": 0.607927101854,
+         "reference": 0.607927101854, "abs_gap": 0.0, "n": ""},
+    ],
+    "const delta --dim 6 --format csv": [
+        {"experiment": "const_delta", "n": "6", "numerator": "", "denominator": "",
+         "value": "0.358009933578", "reference": "", "abs_gap": "", "ci_low": "",
+         "ci_high": "", "seed": ""},
+    ],
+    "exact fgcd --n 20 --format csv": [
+        {"experiment": "fgcd", "n": "20", "numerator": "12", "denominator": "20",
+         "value": "0.6", "reference": "0.607927101854", "abs_gap": "0.00792710185403",
+         "ci_low": "", "ci_high": "", "seed": ""},
+    ],
+}
+
+
+def _ordered(x):
+    """Dicts as lists of pairs, so that key order is compared too."""
+    if isinstance(x, dict):
+        return [(k, _ordered(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return [_ordered(v) for v in x]
+    return x
+
+
+def _records(cmd):
+    """Parsed records of one command, minus elapsed_ms and tool_version.
+
+    Records of a JSON command also get the CSV ``n`` column of the same
+    command, the one field that JSON does not print.
+    """
+    argv = cmd.split()
+    code, lines = run_lines(argv)
+    assert code == 0, lines
+    if "--format" in argv:
+        head = lines[0].split(",")
+        recs = [dict(zip(head, ln.split(","))) for ln in lines[1:]]
+    else:
+        recs = [json.loads(ln) for ln in lines]
+        code, rows = run_lines(argv + ["--format", "csv"])
+        assert code == 0 and len(rows) == len(recs) + 1, rows
+        for rec, row in zip(recs, rows[1:]):
+            rec["n"] = row.split(",")[1]
+    for rec in recs:
+        rec.pop("elapsed_ms")
+        rec.pop("tool_version", None)
+    return recs
+
+
+@pytest.mark.parametrize("cmd", list(RECORDS))
+def test_whole_record_pinned(cmd):
+    assert _ordered(_records(cmd)) == _ordered(RECORDS[cmd])
+

@@ -508,10 +508,13 @@ def test_function_spec_validation():
 
 
 def test_iroot_exact():
-    for x in list(range(0, 200)) + [10**12, 10**13 + 7, 2**62, 7**30]:
-        for k in (1, 2, 3, 5, 7):
+    for x in list(range(0, 300)) + [10**12, 10**13 + 7, 2**62, 7**30]:
+        for k in range(1, 12):
             r = iroot(x, k)
             assert r**k <= x < (r + 1) ** k, (x, k)
+    # x < 2^k has root 1; the CLI test of c = 1e-400 covers a huge k
+    for x, k, r in ((2**64 - 1, 64, 1), (2**64, 64, 2), (2**200 - 1, 100, 3), (2**200, 100, 4)):
+        assert iroot(x, k) == r, (x, k)
 
 
 def test_floor_f_against_mpmath():
@@ -582,6 +585,13 @@ def test_fgcd_zero_floor_convention():
     spec = FunctionSpec.alpha_times_n(Fraction(1, 1000))
     r = f_gcd_density(10, spec)
     assert r.numerator == 1
+
+
+def test_fgcd_alpha_denominator_past_int64():
+    # alpha = 1/10^30: the int64 path cannot hold the denominator, the exact
+    # path floors every m <= 10 to 0
+    r = f_gcd_density(10, FunctionSpec.alpha_times_n(Fraction(1, 10**30)))
+    assert (r.numerator, r.denominator) == (1, 10)
 
 
 # ---------------------------------------------------------------------------

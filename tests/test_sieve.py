@@ -10,7 +10,6 @@ from coprime_lab.sieve import (
     MAX_SIEVE_LIMIT,
     SieveTables,
     build_sieve,
-    prime_count,
     primes_up_to,
 )
 
@@ -55,7 +54,7 @@ def test_degenerate_limit():
     t = build_sieve(1)
     assert t.limit == 1
     assert t.mu[1] == 1 and t.phi[1] == 1
-    assert len(t.primes) == 0
+    assert len(primes_up_to(t.limit)) == 0
 
 
 def test_small_values():
@@ -71,8 +70,10 @@ def test_prime_entries(tables):
         if is_p[p]:
             assert tables.phi[p] == p - 1
             assert tables.mu[p] == -1
-    assert [int(p) for p in tables.primes[:10]] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert np.all(np.diff(tables.primes) > 0)
+    primes = primes_up_to(N_PROP)
+    assert primes.tolist() == [p for p in range(N_PROP + 1) if is_p[p]]
+    assert [int(p) for p in primes[:10]] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert np.all(np.diff(primes) > 0)
 
 
 def test_mu_phi_against_factorization(tables):
@@ -109,24 +110,30 @@ def test_prefix_consistency():
     small, big = build_sieve(500), build_sieve(1000)
     assert np.array_equal(big.mu[:501], small.mu)
     assert np.array_equal(big.phi[:501], small.phi)
-    n_small = int(np.searchsorted(big.primes, 500, side="right"))
-    assert np.array_equal(big.primes[:n_small], small.primes)
+    big_primes = primes_up_to(1000)
+    n_small = int(np.searchsorted(big_primes, 500, side="right"))
+    assert np.array_equal(big_primes[:n_small], primes_up_to(500))
+
+
+def prime_count(primes, x):
+    """pi(x) read off an ascending prime array that reaches past x."""
+    return int(np.searchsorted(primes, x, side="right"))
 
 
 def test_prime_count_values():
-    t = build_sieve(10**6)
-    assert prime_count(t, 0) == 0
-    assert prime_count(t, 1) == 0
-    assert prime_count(t, 2) == 1
-    assert prime_count(t, 100) == 25
+    primes = primes_up_to(10**6)
+    assert prime_count(primes, 0) == 0
+    assert prime_count(primes, 1) == 0
+    assert prime_count(primes, 2) == 1
+    assert prime_count(primes, 100) == 25
     oracle = sum(simple_prime_sieve(10**6))
-    assert prime_count(t, 10**6) == oracle == 78498
+    assert len(primes) == oracle == 78498
 
 
 def test_prime_count_monotone_and_density_decreasing():
-    t = build_sieve(10**6)
+    primes = primes_up_to(10**6)
     xs = [10**3, 10**4, 10**5, 10**6]
-    counts = [prime_count(t, x) for x in xs]
+    counts = [prime_count(primes, x) for x in xs]
     assert counts == sorted(counts)
     dens = [c / x for c, x in zip(counts, xs)]
     assert all(a > b for a, b in zip(dens, dens[1:]))
@@ -137,15 +144,12 @@ def test_errors():
         build_sieve(0)
     with pytest.raises(ResourceLimitError):
         build_sieve(MAX_SIEVE_LIMIT + 1)
-    t = build_sieve(100)
-    with pytest.raises(ValueError):
-        prime_count(t, 101)
-    with pytest.raises(ValueError):
-        prime_count(t, -1)
+    with pytest.raises(ResourceLimitError):
+        primes_up_to(-1)
 
 
 def test_tables_immutable(tables):
-    for arr in (tables.mu, tables.phi, tables.primes):
+    for arr in (tables.mu, tables.phi):
         with pytest.raises(ValueError):
             arr[1] = 0
 
