@@ -176,6 +176,9 @@ MC = {
 #: sizes fall back to Monte Carlo) last.
 CONVERGENCE = tuple(sorted((op for op, e in EXACT.items() if len(e.flags) == 1), key=lambda op: op == "triple3"))
 
+#: exact's integer flags; like --alpha and --c they default to None, so a given one shows.
+EXACT_INTS = tuple(dict.fromkeys(f for e in EXACT.values() for f in e.flags if f != "f"))
+
 
 def _function_spec(args) -> exact.FunctionSpec:
     if args.f == "alpha_n":
@@ -193,6 +196,10 @@ def _run_exact(args) -> list[ExperimentRecord]:
     for flag in entry.flags:
         if getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for this operation")
+    read = entry.flags + (("alpha", "c") if "f" in entry.flags else ())
+    unread = [f for f in EXACT_INTS + ("alpha", "c") if f not in read and getattr(args, f, None) is not None]
+    if unread:
+        raise ValueError(f"{args.operation} does not read --{unread[0]}")
     # the growth function is recorded by its label
     params = {f: _function_spec(args).label() if f == "f" else getattr(args, f) for f in entry.flags}
     return [_from_density(entry.call(args), params)]
@@ -200,6 +207,8 @@ def _run_exact(args) -> list[ExperimentRecord]:
 
 def _run_const(args) -> list[ExperimentRecord]:
     entry = CONST[args.operation]
+    if entry.eps is None and args.eps is not None:
+        raise ValueError(f"{args.operation} does not read --eps")
     n = None if entry.n is None else getattr(args, entry.n)
     params = {} if entry.n is None else {entry.n: "inf" if n is None else n}  # --dim inf parses to None
     if entry.eps is not None:
@@ -214,7 +223,7 @@ def _run_mc(args) -> list[ExperimentRecord]:
 
 
 def _run_report(args) -> list[ExperimentRecord]:
-    return convergence(args.experiment, [int(s) for s in args.ns.split(",") if s], args.seed, args.threads)
+    return convergence(args.experiment, args.ns, args.seed, args.threads)
 
 
 def convergence(kind: str, ns: list[int], seed: int | None = None, threads: int = 1) -> list[ExperimentRecord]:
@@ -282,6 +291,10 @@ def dimension(text: str) -> int | None:
     return None if text == "inf" else int(text)
 
 
+def sizes(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -294,15 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="exact sieve-based counts", parents=[common])
     p_exact.set_defaults(run=_run_exact)
     p_exact.add_argument("operation", choices=EXACT)
-    p_exact.add_argument("--n", type=int)
-    p_exact.add_argument("--t", type=int)
-    p_exact.add_argument("--k", type=int)
-    p_exact.add_argument("--j", type=int)
-    p_exact.add_argument("--radius", type=int)
+    for flag in EXACT_INTS:
+        p_exact.add_argument(f"--{flag}", type=int)
     p_exact.add_argument("--f", choices=("alpha_n", "pow_c"), default="alpha_n")
     p_exact.add_argument("--alpha", default=None, help="sqrt2 or a decimal")
     p_exact.add_argument("--c", default=None, help="non-integer decimal exponent")
-    p_exact.add_argument("--x", type=int)
 
     p_const = sub.add_parser("const", help="analytic constants with error bounds", parents=[common])
     p_const.set_defaults(run=_run_const)
@@ -326,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(run=_run_report)
     p_rep.add_argument("operation", choices=("convergence",))
     p_rep.add_argument("--experiment", required=True, choices=CONVERGENCE)
-    p_rep.add_argument("--ns", required=True, help="comma-separated ascending sizes")
+    p_rep.add_argument("--ns", type=sizes, required=True, help="comma-separated ascending sizes")
     p_rep.add_argument("--seed", type=int, default=None)
 
     return parser

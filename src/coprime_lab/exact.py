@@ -1,10 +1,10 @@
 """Exact finite-range coprimality counts.
 
 Every operation returns a :class:`DensityResult` whose numerator and
-denominator are exact integers (Python ints never wrap, every int64 fast
-path is guarded by a proven bound before use, and the summatory recurrences
-run in uint64 residues that are lifted to exact integers). The float
-``value`` is the correctly rounded quotient of those integers.
+denominator are exact integers (Python ints never wrap, int64 sums stay in
+proven bounds, summatory recurrences run in uint64 residues lifted to exact
+integers, and fgcd floors are float estimates proven lane by lane or redone
+in integers). The float ``value`` is the correctly rounded quotient.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .sieve import primes_up_to, shared_tables
 
 #: Largest n accepted by the brute-force pairwise-triple counter.
 TRIPLE_BRUTE_BOUND = 2000
-
-_INT64_MAX = 2**63 - 1
-
 
 @dataclass(frozen=True)
 class DensityResult:
@@ -172,22 +169,17 @@ def _mobius_sum(n: int, g, odd: bool = False) -> int:
     return sum(a * g(q) for a, q in zip(weights, args) if a)
 
 
-def totient_sum(n: int, method: str = "auto") -> int:
+def totient_sum(n: int) -> int:
     """Phi(n) = sum of phi(k) for k = 1..n, exactly.
 
-    ``method="sieve"`` sums a full table (needs n within the configured
-    sieve cap); ``method="recurrence"`` runs the sublinear recurrence from a
-    base table of about n^(2/3), which handles n far beyond any table.
-    ``"auto"`` sums a table for small n and recurs above.
+    Sums a table for small n and runs the sublinear recurrence from a base
+    table of about n^(2/3) above, which handles n far beyond any table.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if method not in ("auto", "sieve", "recurrence"):
-        raise ValueError(f"unknown method {method!r}")
     if n == 0:
         return 0
-    sizes = {"auto": _table_size, "sieve": lambda n: n, "recurrence": _base_size}
-    return _totient_at(n, sizes[method](n))
+    return _totient_at(n, _table_size(n))
 
 
 def coprime_ordered_count_mobius(n: int) -> int:
@@ -346,25 +338,18 @@ def prime_density(x: int) -> DensityResult:
 
 
 def iroot(x: int, k: int) -> int:
-    """Floor of the k-th root of x >= 0, exactly (Newton plus clamp)."""
+    """Floor of the k-th root of x >= 0, exactly.
+
+    Integer Newton from r >= x^(1/k) decreases strictly while r exceeds the
+    floor root and never drops below it (AM-GM), so it stops there.
+    """
     if x < 0 or k < 1:
         raise ValueError(f"need x >= 0 and k >= 1, got x={x}, k={k}")
-    if x == 0 or k == 1:
-        return x
-    if x.bit_length() <= k:  # 1 <= x < 2^k; also spares Newton a huge r^(k-1)
-        return 1
-    if k == 2:
-        return isqrt(x)
+    if x.bit_length() <= k:  # x < 2^k, root 0 or 1; also spares Newton a huge r^(k-1)
+        return min(x, 1)
     r = 1 << -(-x.bit_length() // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
+    while (nr := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
         r = nr
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
     return r
 
 
@@ -374,9 +359,9 @@ class FunctionSpec:
 
     Two forms: ``alpha_times_n`` is f(m) = alpha * m with alpha either the
     sqrt(2) marker or an exact rational, and ``n_pow_c`` is f(m) = m^c with
-    c an exact non-integer rational > 0. Floors are always evaluated in
-    exact integer arithmetic (isqrt / k-th roots / rational products), so
-    there is no rounding to guard against.
+    c an exact non-integer rational > 0. Each is written as ``coefficients``
+    (A, p, B, q), floor(f(m)) being the largest r >= 0 with B*r^q <= A*m^p:
+    sqrt(2)*m is (2, 2, 1, 2), m^(p/q) is (1, p, 1, q), (a/b)*m is (a, 1, b, 1).
     """
 
     form: str
@@ -409,6 +394,12 @@ class FunctionSpec:
     def n_pow_c(c) -> "FunctionSpec":
         return FunctionSpec(form="n_pow_c", c=Fraction(c))
 
+    def coefficients(self) -> tuple[int, int, int, int]:
+        """(A, p, B, q): floor(f(m)) is the largest r >= 0 with B*r^q <= A*m^p."""
+        if self.form == "alpha_times_n":
+            return (2, 2, 1, 2) if self.sqrt2 else (self.alpha.numerator, 1, self.alpha.denominator, 1)
+        return 1, self.c.numerator, 1, self.c.denominator
+
     def label(self) -> str:
         if self.form == "alpha_times_n":
             a = "sqrt2" if self.sqrt2 else str(self.alpha)
@@ -417,61 +408,93 @@ class FunctionSpec:
 
 
 def floor_f(spec: FunctionSpec, m: int) -> int:
-    """floor(f(m)) for a single m >= 1, in exact integer arithmetic."""
+    """floor(f(m)) for a single m >= 1: iroot(A*m^p // B, q) in exact integers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if spec.form == "alpha_times_n":
-        if spec.sqrt2:
-            return isqrt(2 * m * m)
-        return m * spec.alpha.numerator // spec.alpha.denominator
-    p, q = spec.c.numerator, spec.c.denominator
+    A, p, B, q = spec.coefficients()
     if p * m.bit_length() > 1_000_000:
         raise OverflowError(f"f({m}) = {m}^{spec.c} is too large to evaluate")
-    return iroot(m**p, q)
+    return iroot(A * m**p // B, q)
 
 
-def _floor_values(spec: FunctionSpec, n: int):
-    """Floors for m = 1..n; int64 array when a vector path is safe."""
-    if spec.form == "alpha_times_n":
-        if spec.sqrt2:
-            if 2 * n * n <= _INT64_MAX:
-                m = np.arange(1, n + 1, dtype=np.int64)
-                return _isqrt_vec(2 * m * m)
-        else:
-            a, b = spec.alpha.numerator, spec.alpha.denominator
-            if n * a <= _INT64_MAX // 2 and b <= _INT64_MAX:
-                m = np.arange(1, n + 1, dtype=np.int64)
-                return (m * a) // b
-    else:
-        p, q = spec.c.numerator, spec.c.denominator
-        if q == 2 and n.bit_length() * p <= 62:
-            m = np.arange(1, n + 1, dtype=np.int64)
-            return _isqrt_vec(m**p)
-    return [floor_f(spec, m) for m in range(1, n + 1)]
+#: Lanes per block of the fgcd count, which bounds its memory at any n.
+_FLOOR_BLOCK = 1 << 13
 
 
-def _isqrt_vec(x: np.ndarray) -> np.ndarray:
-    """Exact elementwise isqrt of nonnegative int64 via float sqrt + clamp."""
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    # float sqrt of values < 2^63 is within 2 of the truth; two rounds settle it
-    for _ in range(2):
-        r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
-        r = np.where((r > 0) & (r * r > x), r - 1, r)
-    return r
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for e >= 1 by left-to-right squaring (e - 1 multiplies' rounding)."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = out * out * x if bit == "1" else out * out
+    return out
+
+
+def _floor_lanes(A: int, p: int, B: int, q: int, m: np.ndarray):
+    """(r, proven) for int64 lanes m >= 1: where proven, r is the largest
+    r >= 0 with B*r^q <= A*m^p.
+
+    A float64 estimate only proposes r. A lane is proven when x = A*m^p,
+    y = B*r^q and y' = B*(r+1)^q satisfy x >= y and x < y', with m, r < 2^52
+    so that every operand is an exact float. Let u = 2^-53, k = max(p, q) + 1,
+    g = k*u/(1 - k*u) and c = 4*k*u (exact). X = fl(A)*m^p and Y = fl(B)*r^q
+    take at most k correctly rounded steps (int-to-float conversion and
+    _power's multiplies) on operands that are 0 or >= 1, so while finite,
+    |X - x| <= g*x and |Y - y| <= g*y (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemmas 3.1, 3.3). With d = fl(X - Y) and
+    t = fl(c*fl(X + Y)):
+
+    - d > t gives X - Y >= d/(1+u) > c*(X+Y)*(1-u)^2/(1+u) >= 2*k*u*(X+Y)
+      >= g/(1-g)*(X+Y) >= |X-x| + |Y-y| (as k*u <= 1/4), so x > y; d < -t
+      gives x < y alike.
+    - Otherwise |X - Y| <= t/(1-u) and g/(1-g)*(X+Y) <= t/(2*(1-u)^2), so
+      |x - y| < 1.6*t < 2^62 where t <= 2^61; there x - y is exactly the
+      wrapping uint64 difference of the products, viewed as int64 (ties too).
+
+    Non-finite products fail both. Lanes with r >= 2^52 or a wrong estimate
+    stay unproven, as do all lanes when k > 1025 (products overflow).
+    """
+    k = max(p, q) + 1
+    if k > 1025:
+        return np.zeros_like(m), np.zeros(m.shape, dtype=bool)
+    c = k * 2.0**-51
+    fA, fB = (float(v) if v.bit_length() < 1024 else np.inf for v in (A, B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mf = m.astype(np.float64)
+        X = fA * _power(mf, p)
+
+        def signs(sf, s):
+            """(x >= B*s^q, x < B*s^q), each where proven; s as float and int64."""
+            Y = fB * _power(sf, q)
+            d, t = X - Y, c * (X + Y)
+            ge, lt = d > t, d < -t
+            i = np.flatnonzero((np.abs(d) <= t) & (t <= 2.0**61))  # residue tier
+            diff = np.uint64(A % 2**64) * _power(m[i].view(np.uint64), p)
+            diff = (diff - np.uint64(B % 2**64) * _power(s[i].view(np.uint64), q)).view(np.int64)
+            ge[i], lt[i] = diff >= 0, diff < 0
+            return ge, lt
+
+        rf = np.fmin(np.floor((X / fB) ** (1 / q)), 2.0**52)  # any libm power: only a proposal
+        r = rf.astype(np.int64)
+        proven = (np.maximum(rf, mf) < 2.0**52) & signs(rf, r)[0] & signs(rf + 1, r + 1)[1]
+    return r, proven
 
 
 def f_gcd_density(n: int, spec: FunctionSpec) -> DensityResult:
     """Exact density of m <= n with gcd(m, floor(f(m))) = 1.
 
     floor(f(m)) = 0 pairs as gcd(m, 0) = m, so only m = 1 counts there.
+    Lanes that _floor_lanes leaves unproven are counted with floor_f.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ref = constants.reference_constant("fgcd").value
-    floors = _floor_values(spec, n)
-    if isinstance(floors, np.ndarray):
-        m = np.arange(1, n + 1, dtype=np.int64)
-        num = int(np.count_nonzero(np.gcd(m, floors) == 1))
-    else:
-        num = sum(1 for m, fl in enumerate(floors, start=1) if gcd(m, fl) == 1)
+    A, p, B, q = spec.coefficients()
+    if q == 1:  # alpha = A/B: gcd(m, k*m + t) = gcd(m, t), so A mod B counts alike
+        A %= B
+    num = 0
+    for lo in range(1, n + 1, _FLOOR_BLOCK):
+        m = np.arange(lo, min(lo + _FLOOR_BLOCK, n + 1), dtype=np.int64)
+        r, proven = _floor_lanes(A, p, B, q, m)
+        num += int(np.count_nonzero((np.gcd(m, r) == 1) & proven))
+        num += sum(gcd(x, floor_f(spec, x)) == 1 for x in m[~proven].tolist())
     return _result("fgcd", n, num, n, ref)

@@ -40,15 +40,11 @@ class GaussianInt(NamedTuple):
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def __str__(self):
         return f"{self.re}{self.im:+}i"
 
 
 ZERO = GaussianInt(0, 0)
-ONE = GaussianInt(1, 0)
 
 #: The four units of the ring.
 UNITS = (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1))

@@ -79,9 +79,6 @@ class RngStream:
         z = (z ^ (z >> _S27)) * _M2
         return z ^ (z >> _S31)
 
-    def next_word(self) -> int:
-        return int(self.words(1)[0])
-
     def uniform_below(self, m: int, count: int) -> np.ndarray:
         """count uniform integers in [0, m), modulo-bias-free by rejection.
 
@@ -330,31 +327,6 @@ def det_bareiss(rows: list[list[int]]) -> int:
             row_i[k] = 0
         prev = piv
     return sign * a[n - 1][n - 1]
-
-
-def _is_prime_u64(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 #: Modulus of the wrapping uint64 residue, the first CRT modulus.

@@ -214,10 +214,11 @@ def test_triple3_convergence_mc_fallback():
     assert code == 3  # needs a seed past the brute-force bound
 
 
-def test_convergence_rejects_empty_ns():
-    for ns in (",", ""):
+def test_convergence_rejects_empty_ns(capsys):
+    for ns in (",", "", "abc"):
         code, _ = run_lines(["report", "convergence", "--experiment", "pair", "--ns", ns])
         assert code == 2, ns
+        assert "--ns" in capsys.readouterr().err, ns
 
 
 def test_unwritable_out_fails_before_work(tmp_path, monkeypatch):
@@ -237,6 +238,23 @@ def test_threads_below_one_rejected(monkeypatch):
         argv = ["mc", "pair", "--trials", "100", "--seed", "1", "--threads", threads]
         assert cli.run(argv, out=io.StringIO()) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("const odd --eps 1e-3", "--eps"),
+    ("const pair --eps 1e-3", "--eps"),
+    ("exact pair --n 10 --k 3", "--k"),
+    ("exact visible --radius 5 --n 5", "--n"),
+    ("exact gcd-eq --n 10 --t 2 --x 3", "--x"),
+    ("exact kfree --n 10 --j 2 --radius 3", "--radius"),
+    ("exact squarefree --n 10 --alpha 2", "--alpha"),
+    ("exact ktuple --n 10 --k 3 --c 1.5", "--c"),
+])
+def test_unread_flag_refused(argv, flag, capsys):
+    code, lines = run_lines(argv.split())
+    err = capsys.readouterr().err
+    assert (code, lines) == (2, []), argv
+    assert err.startswith("invalid arguments:") and flag in err, err
 
 
 @pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1e-9"])

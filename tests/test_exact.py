@@ -5,7 +5,7 @@ from math import gcd
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprime_lab import constants, exact, sieve
@@ -58,15 +58,14 @@ def test_totient_sum_brute():
 
 
 def test_totient_sum_routes_agree():
+    # a full table against the recurrence from a base of about n^(2/3)
     for n in (10**4, 123_456, 10**6):
-        assert totient_sum(n, "sieve") == totient_sum(n, "recurrence"), n
+        assert exact._totient_at(n, n) == exact._totient_at(n, exact._base_size(n)), n
 
 
 def test_totient_sum_errors():
     with pytest.raises(ValueError):
         totient_sum(-1)
-    with pytest.raises(ValueError):
-        totient_sum(10, "guess")
 
 
 # Phi(10^k) (OEIS A064018) and M(10^k) (OEIS A084237), k = 1..9
@@ -560,8 +559,7 @@ def test_fgcd_vector_path_matches_scalar():
 
 
 def test_fgcd_pow15_integer_oracle_large():
-    # floor(m^1.5) = isqrt(m^3); n = 2^20 - 1 is the last n on the int64 vector
-    # path and n = 2^20 the first on the Python iroot path
+    # floor(m^1.5) = isqrt(m^3); from n = 2^20 on, m^3 no longer fits int64
     spec = FunctionSpec.n_pow_c(Fraction(3, 2))
     checkpoints = (10**6, 2**20 - 1, 2**20)
     oracle = {}
@@ -588,10 +586,66 @@ def test_fgcd_zero_floor_convention():
 
 
 def test_fgcd_alpha_denominator_past_int64():
-    # alpha = 1/10^30: the int64 path cannot hold the denominator, the exact
-    # path floors every m <= 10 to 0
+    # alpha = 1/10^30 floors every m <= 10 to 0
     r = f_gcd_density(10, FunctionSpec.alpha_times_n(Fraction(1, 10**30)))
     assert (r.numerator, r.denominator) == (1, 10)
+
+
+FGCD_FORMS = (
+    [FunctionSpec.sqrt2_times_n()]
+    + [FunctionSpec.alpha_times_n(a) for a in (
+        Fraction(1, 3), Fraction(22, 7), Fraction(1, 10**30), Fraction(10**12), Fraction(10**30 + 7, 10**29))]
+    + [FunctionSpec.n_pow_c(Fraction(c)) for c in ("1/2", "3/4", "5/4", "3/2", "7/3", "5/2", "7/2")]
+)
+
+
+@st.composite
+def fgcd_lanes(draw):
+    """A growth function and lanes m: of every bit length up to 41 (so r
+    passes 2^52 for several forms) and m = B*k^q, where A*m^p = B*r^q."""
+    spec = draw(st.sampled_from(FGCD_FORMS))
+    A, p, B, q = spec.coefficients()
+    sized = st.integers(0, 40).flatmap(lambda b: st.integers(2**b, 2 ** (b + 1) - 1))
+    tie = st.integers(1, 2**13).map(lambda k: min(B * k**q, 2**50))
+    lanes = st.one_of(sized, tie)
+    return spec, draw(st.lists(lanes, min_size=1, max_size=64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fgcd_lanes())
+def test_floor_lanes_proven_only_when_exact(case):
+    spec, lanes = case
+    A, p, B, q = spec.coefficients()
+    r, proven = exact._floor_lanes(A, p, B, q, np.array(lanes, dtype=np.int64))
+    for m, rm, ok in zip(lanes, r.tolist(), proven.tolist()):
+        if ok:
+            assert rm == floor_f(spec, m), (spec, m)
+        # a quotient or square root below 2^50 is estimated exactly (correctly
+        # rounded), so every such lane is proven, ties by their residues
+        if q <= 2 and A * m**p < 2**50:
+            assert ok, (spec, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FGCD_FORMS), st.integers(1, 20_000))
+@example(FunctionSpec.n_pow_c("7/2"), 40_000)  # five blocks; r passes 2^52 past m = 29,000
+def test_fgcd_counts_match_brute_force(spec, n):
+    brute = sum(1 for m in range(1, n + 1) if gcd(m, floor_f(spec, m)) == 1)
+    assert f_gcd_density(n, spec).numerator == brute, (spec, n)
+
+
+@pytest.mark.parametrize("spec, n, count", [
+    (FunctionSpec.sqrt2_times_n(), 10**6, 607925),
+    (FunctionSpec.n_pow_c("1.25"), 10**5, 60653),
+    (FunctionSpec.n_pow_c("1.5"), 10**6, 602415),
+    (FunctionSpec.n_pow_c("1.5"), 2**20, 631650),
+])
+def test_fgcd_pinned_counts_prove_every_lane(spec, n, count, monkeypatch):
+    def no_python_lane(spec, m):
+        raise AssertionError(f"lane m = {m} left unproven")
+
+    monkeypatch.setattr(exact, "floor_f", no_python_lane)
+    assert f_gcd_density(n, spec).numerator == count
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprime_lab.gaussian import (
     UNITS,
@@ -116,6 +118,32 @@ def test_gcd_divides_and_is_greatest_exhaustive():
                 for d in cands:
                     if _divides(d, z) and _divides(d, w):
                         assert _divides(d, g), (z, w, d)
+
+
+def gaussians(bound):
+    return st.builds(G, st.integers(-bound, bound), st.integers(-bound, bound))
+
+
+#: First-quadrant representatives with coordinates up to 8: the brute-force
+#: candidate divisors (divisibility does not see unit multiples).
+SMALL_DIVISORS = [G(a, b) for a in range(9) for b in range(9) if (a, b) != (0, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussians(2**12).filter(lambda c: not c.is_zero()), gaussians(2**27), gaussians(2**27))
+def test_gcd_divides_and_is_greatest_large(c, a, b):
+    """Beyond the exhaustive box: z = c*a and w = c*b have coordinates up to
+    2^40 and the common divisor c; gcd divides both, and every common divisor
+    found (c and the small candidates) divides the gcd."""
+    z, w = c * a, c * b
+    if z.is_zero() and w.is_zero():
+        return
+    g = gcd(z, w)
+    assert _divides(g, z) and _divides(g, w), (z, w)
+    assert math.gcd(z.norm(), w.norm()) % g.norm() == 0
+    for d in [c] + SMALL_DIVISORS:
+        if _divides(d, z) and _divides(d, w):
+            assert _divides(d, g), (z, w, d)
 
 
 def test_gcd_unit_invariance_and_symmetry():

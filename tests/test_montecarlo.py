@@ -24,7 +24,6 @@ from coprime_lab.montecarlo import (
     _DET_CHUNK,
     _exact_dets,
     _crt_primes_for,
-    _is_prime_u64,
 )
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def test_stream_matches_scalar_reference_across_blocks():
     want = ref_splitmix(seed, 100)
     s = RngStream(seed)
     got = [int(w) for w in s.words(7)]
-    got += [s.next_word() for _ in range(3)]
+    got += [int(s.words(1)[0]) for _ in range(3)]
     got += [int(w) for w in s.words(90)]
     assert got == want
 
@@ -112,6 +111,18 @@ def test_wilson_clamps():
     lo, _ = wilson_interval(0, 50)
     _, hi = wilson_interval(50, 50)
     assert lo == 0.0 and hi == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12), st.sampled_from(["0", "1", "t-1", "t"]))
+def test_wilson_extremes(trials, which):
+    successes = {"0": 0, "1": 1, "t-1": trials - 1, "t": trials}[which]
+    lo, hi = wilson_interval(successes, trials)
+    assert 0.0 <= lo <= successes / trials <= hi <= 1.0, (successes, trials, lo, hi)
+    if successes == 0:
+        assert lo == 0.0
+    if successes == trials:
+        assert hi == 1.0
 
 
 def test_wilson_errors():
@@ -293,11 +304,36 @@ def hadamard_covered(dim, emax):
     return prod * prod > 4 * dim**dim * emax ** (2 * dim)
 
 
+def is_prime_u64(n: int) -> bool:
+    # deterministic Miller-Rabin for n < 3.3e24
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def test_crt_prime_pool_is_prime_and_sized():
-    assert all(_is_prime_u64(p) for p in _CRT_PRIMES)
+    assert all(is_prime_u64(p) for p in _CRT_PRIMES)
     assert all(p < 2**28 for p in _CRT_PRIMES)
     assert list(_CRT_PRIMES) == sorted(set(_CRT_PRIMES), reverse=True)
-    assert all(_is_prime_u64(p) for p in _crt_primes_for(8, 10**6 - 1))
+    assert all(is_prime_u64(p) for p in _crt_primes_for(8, 10**6 - 1))
     # the moduli must cover twice the Hadamard bound, the range Garner needs
     assert hadamard_covered(6, 999)
     assert hadamard_covered(6, 10**6 - 1)
