@@ -22,6 +22,9 @@ from .errors import ResourceLimitError
 
 CSV_HEADER = "experiment,n,numerator,denominator,value,reference,abs_gap,ci_low,ci_high,seed,elapsed_ms"
 
+#: Tolerance of a constant when --eps is not given.
+DEFAULT_EPS = 1e-9
+
 #: Trials used when a convergence table falls back to Monte Carlo.
 CONVERGENCE_MC_TRIALS = 1_000_000
 
@@ -126,7 +129,7 @@ class Exact(NamedTuple):
 class Const(NamedTuple):
     call: Callable  # (args, eps) -> constants.ConstantValue
     n: str | None = None  # flag recorded as n and first in params
-    eps: float | None = 1e-9  # default tolerance; None for a constant that takes none
+    eps: bool = True  # reads --eps (default DEFAULT_EPS); False for a constant that takes none
 
 
 class Mc(NamedTuple):
@@ -157,11 +160,10 @@ CONST = {
     "euler-product": Const(lambda a, eps: constants.euler_product_inv_zeta2(eps)),
     "catalan": Const(lambda a, eps: constants.catalan(eps)),
     "gaussian": Const(lambda a, eps: constants.gaussian_coprime_constant(eps)),
-    # Q and delta certify down to 1e-8
-    "q3": Const(lambda a, eps: constants.pairwise_triple_constant(eps), eps=1e-8),
-    "delta": Const(lambda a, eps: constants.delta_determinant_constant(a.dim, eps), "dim", 1e-8),
-    "odd": Const(lambda a, eps: constants.reference_constant("odd_pair"), eps=None),
-    "pair": Const(lambda a, eps: constants.reference_constant("pair"), eps=None),
+    "q3": Const(lambda a, eps: constants.pairwise_triple_constant(eps)),
+    "delta": Const(lambda a, eps: constants.delta_determinant_constant(a.dim, eps), "dim"),
+    "odd": Const(lambda a, eps: constants.reference_constant("odd_pair"), eps=False),
+    "pair": Const(lambda a, eps: constants.reference_constant("pair"), eps=False),
 }
 
 MC = {
@@ -201,18 +203,18 @@ def _run_exact(args) -> list[ExperimentRecord]:
     if unread:
         raise ValueError(f"{args.operation} does not read --{unread[0]}")
     # the growth function is recorded by its label
-    params = {f: _function_spec(args).label() if f == "f" else getattr(args, f) for f in entry.flags}
+    params = {f: _function_spec(args).label if f == "f" else getattr(args, f) for f in entry.flags}
     return [_from_density(entry.call(args), params)]
 
 
 def _run_const(args) -> list[ExperimentRecord]:
     entry = CONST[args.operation]
-    if entry.eps is None and args.eps is not None:
+    if not entry.eps and args.eps is not None:
         raise ValueError(f"{args.operation} does not read --eps")
     n = None if entry.n is None else getattr(args, entry.n)
     params = {} if entry.n is None else {entry.n: "inf" if n is None else n}  # --dim inf parses to None
-    if entry.eps is not None:
-        params["eps"] = entry.eps if args.eps is None else args.eps
+    if entry.eps:
+        params["eps"] = DEFAULT_EPS if args.eps is None else args.eps
     cv = entry.call(args, params.get("eps"))
     return [_from_constant("const_" + args.operation.replace("-", "_"), n, cv, params)]
 
@@ -318,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("operation", choices=CONST)
     p_const.add_argument("--k", type=int, default=2)
     p_const.add_argument("--dim", type=dimension, default=None, help="matrix dimension or 'inf'")
-    p_const.add_argument("--eps", type=positive_finite_float, default=None, help="tolerance (default 1e-9; 1e-8 for q3/delta)")
+    p_const.add_argument("--eps", type=positive_finite_float, default=None, help="tolerance (default 1e-9)")
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimates", parents=[common])
     p_mc.set_defaults(run=_run_mc)

@@ -27,6 +27,10 @@ _HEAD_PRIME_BOUND = 1000
 #: an Euler factor F_p = F(1/p); past it |c_s| <= 4^s bounds the series.
 _SERIES_DEGREE = 16
 
+#: Smallest eps an Euler product accepts. Every bound it certifies (6/pi^2,
+#: Q, and Delta at each dimension 2-500 and in the limit) is at most 5.85e-14.
+_PRODUCT_EPS_FLOOR = 1e-11
+
 #: Largest argument of the certified zeta.
 _ZETA_MAX = 64
 
@@ -73,6 +77,8 @@ def _euler_product(
     zeta function P(s) = sum_k mu(k)/k log zeta(ks), or are bounded by
     0 <= sum_{p>P} p^-s <= P^(1-s)/(s-1) where that is tighter.
     """
+    if eps < _PRODUCT_EPS_FLOOR:
+        raise PrecisionError(f"euler product eps floor is {_PRODUCT_EPS_FLOOR:g}, got {eps}")
     P = _HEAD_PRIME_BOUND
     zetas = [zeta(m, 1e-14) for m in range(2, _ZETA_MAX + 1)]
     log_zeta = np.array([0.0, 0.0] + [math.log(z.value) for z in zetas])  # index m
@@ -148,8 +154,6 @@ def euler_product_inv_zeta2(eps: float = 1e-9) -> ConstantValue:
     The primes p <= P enter factor by factor and the rest through
     -log(1 - x^2) = sum_m x^(2m)/m and the prime zeta function.
     """
-    if eps < 1e-11:
-        raise PrecisionError(f"euler product eps floor is 1e-11, got {eps}")
     pf = primes_up_to(_HEAD_PRIME_BOUND).astype(np.float64)
     return _euler_product(pf, np.log1p(-1.0 / (pf * pf)), _neg_log_series([1, 0, -1]), eps)
 
@@ -179,10 +183,8 @@ def gaussian_coprime_constant(eps: float = 1e-9) -> ConstantValue:
     return ConstantValue(value, bound, "alternating_series", {"eps": eps, "catalan_terms": g.params["terms"]})
 
 
-def pairwise_triple_constant(eps: float = 1e-8) -> ConstantValue:
+def pairwise_triple_constant(eps: float = 1e-9) -> ConstantValue:
     """Q = (36/pi^4) prod_p (1 - (p+1)^-2): pairwise-coprime triple density."""
-    if eps < 1e-8:
-        raise PrecisionError(f"pairwise triple constant eps floor is 1e-8, got {eps}")
     pf = primes_up_to(_HEAD_PRIME_BOUND).astype(np.float64)
     q = pf + 1.0
     # -log(1 - (p+1)^-2) = log((1 + x)^2 / (1 + 2x)) at x = 1/p, so
@@ -193,7 +195,7 @@ def pairwise_triple_constant(eps: float = 1e-8) -> ConstantValue:
     return _euler_product(pf, np.log1p(-1.0 / (q * q)), coeffs, eps, lead=36.0 / math.pi**4)
 
 
-def delta_determinant_constant(n: int | None, eps: float = 1e-8) -> ConstantValue:
+def delta_determinant_constant(n: int | None, eps: float = 1e-9) -> ConstantValue:
     """Determinant-coprimality constant for dimension n (None = limit).
 
     Per prime the factor is F = 1 - (1 - prod_{k=1..n} (1 - p^-k))^2; at n = 1
@@ -203,11 +205,11 @@ def delta_determinant_constant(n: int | None, eps: float = 1e-8) -> ConstantValu
     """
     if n is not None and not 1 <= n <= 500:
         raise ValueError(f"dimension must be in [1, 500] or None, got {n}")
-    if eps < 1e-8:
-        raise PrecisionError(f"delta eps floor is 1e-8, got {eps}")
     if n == 1:
-        value = 6.0 / math.pi**2
-        return ConstantValue(value, 8 * _U * value, "closed_form", {"dim": 1, "eps": eps})
+        cv = _closed(6.0 / math.pi**2, {"dim": 1, "eps": eps})
+        if cv.abs_error_bound > eps:
+            raise PrecisionError(f"certified bound {cv.abs_error_bound:.2e} exceeds requested {eps:.2e}")
+        return cv
     pf = primes_up_to(_HEAD_PRIME_BOUND).astype(np.float64)
     inner = np.ones_like(pf)
     factors = np.zeros_like(pf)
@@ -250,13 +252,8 @@ def reference_constant(
     j: int | None = None,
     t: int | None = None,
     dim: int | None = None,
-    eps: float = 1e-9,
 ) -> ConstantValue:
-    """Limiting constant for an experiment tag.
-
-    Q and the determinant constant are served at their 1e-8 precision floor
-    when the default eps asks for more.
-    """
+    """Limiting constant for an experiment tag, each certified to 1e-9."""
     if kind in ("pair", "visible", "squarefree", "fgcd"):
         return _closed(6.0 / math.pi**2)
     if kind == "odd_pair":
@@ -268,17 +265,17 @@ def reference_constant(
     if kind == "ktuple":
         if k is None:
             raise ValueError("ktuple reference needs k")
-        return inv_zeta(k, eps)
+        return inv_zeta(k, 1e-9)
     if kind == "kfree":
         if j is None:
             raise ValueError("kfree reference needs j")
-        return inv_zeta(j, eps)
+        return inv_zeta(j, 1e-9)
     if kind == "triple3":
-        return pairwise_triple_constant(max(eps, 1e-8))
+        return pairwise_triple_constant()
     if kind == "gaussian":
-        return gaussian_coprime_constant(eps)
+        return gaussian_coprime_constant()
     if kind == "det":
-        return delta_determinant_constant(dim, max(eps, 1e-8))
+        return delta_determinant_constant(dim)
     if kind == "prime_density":
         return ConstantValue(0.0, 0.0, "closed_form", {})
     raise ValueError(f"unknown experiment kind {kind!r}")

@@ -22,6 +22,10 @@ from .sieve import primes_up_to, shared_tables
 #: Largest n accepted by the brute-force pairwise-triple counter.
 TRIPLE_BRUTE_BOUND = 2000
 
+#: Lanes per block of the vectorised sums (kfree, visible, fgcd), which
+#: bounds their working memory at any size.
+_FLOOR_BLOCK = 1 << 13
+
 @dataclass(frozen=True)
 class DensityResult:
     """An exact count numerator/denominator plus its float value.
@@ -277,19 +281,24 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
 
 
 def kfree_count(n: int, j: int = 2) -> DensityResult:
-    """Exact count of m <= n divisible by no j-th power of a prime."""
+    """Exact count of m <= n divisible by no j-th power of a prime.
+
+    The count is the sum of mu(d) * (n // d^j) over d <= n^(1/j), taken as
+    one dot product per block of _FLOOR_BLOCK values of d, over Python-int
+    lanes: n // d^j passes int64 once n does.
+    """
     if not 2 <= j <= 16:
         raise ValueError(f"j must be in [2, 16], got {j}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ref = constants.reference_constant("kfree", j=j).value
     dmax = iroot(n, j)
-    tables = shared_tables(max(dmax, 1))
+    mu = shared_tables(dmax).mu[: dmax + 1]
     num = 0
-    for d in range(1, dmax + 1):
-        m = int(tables.mu[d])
-        if m:
-            num += m * (n // d**j)
+    for lo in range(1, dmax + 1, _FLOOR_BLOCK):
+        w = mu[lo : lo + _FLOOR_BLOCK]
+        d = np.flatnonzero(w)
+        num += np.dot(w[d].astype(object), n // (d + lo).astype(object) ** j)
     kind = "squarefree" if j == 2 else "kfree"
     return _result(kind, n, num, n, ref)
 
@@ -301,26 +310,46 @@ def squarefree_count(n: int) -> DensityResult:
 
 def visible_points_in_disk(radius: int) -> DensityResult:
     """Count lattice points visible from the origin in the disk of the given
-    radius, over all nonzero lattice points there.
+    radius R, over all nonzero lattice points there.
 
     Visibility of (x, y) means gcd(|x|, |y|) = 1 with gcd(a, 0) = a, so the
-    only visible axis points are the four units. Quadrants are symmetric:
-    scan x >= 1, y >= 1 and add the 4R axis points.
+    only visible axis points are the four units, and the quadrants are
+    symmetric. With Y(x) = isqrt(R^2 - x^2) the height of row x, the
+    quadrant x, y >= 1 holds sum of Y(x) points, and Möbius inversion over
+    d = gcd(x, y) counts its visible ones as the sum over d <= R of
+    mu(d) * sum over x <= R/d of floor(Y(d*x) / d) (Apostol, Introduction
+    to Analytic Number Theory, 3.8).
+
+    Every Y is one float64 sqrt. v = R^2 - x^2 <= 1e14 < 2^52 is exact as
+    a float. With k = isqrt(v), v <= (k+1)^2 - 1 puts sqrt(v) in [k, k+1)
+    at least 1/(2(k+1)) below k+1, and rounding moves it by at most
+    2^-53 * (k+1), which is less as (k+1)^2 < 2^52; so it floors to k.
+    The (d, x) lanes of squarefree d, about R ln R of them, run in blocks
+    of _FLOOR_BLOCK, one int64 dot each.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if radius > 10**7:
         raise ResourceLimitError(f"disk scan capped at radius 1e7, got {radius}")
     ref = constants.reference_constant("visible").value
-    r2 = radius * radius
-    num = 4
-    den = 4 * radius
-    for x in range(1, radius + 1):
-        ymax = isqrt(r2 - x * x)
-        if ymax:
-            ys = np.arange(1, ymax + 1, dtype=np.int64)
-            num += 4 * int(np.count_nonzero(np.gcd(np.int64(x), ys) == 1))
-            den += 4 * ymax
+    mu = shared_tables(radius).mu
+    Y = np.arange(radius + 1, dtype=np.float64)  # in place: one float array at a time
+    np.sqrt(np.subtract(radius * radius, np.square(Y, out=Y), out=Y), out=Y)
+    Y = Y.astype(np.int32)
+    d = np.flatnonzero(mu[: radius + 1]).astype(np.int32)  # squarefree d; mu[0] = 0
+    ends = np.cumsum(radius // d, dtype=np.int64)  # lanes of d[:i + 1]
+    total, quadrant = int(ends[-1]), 0
+    for lo in range(0, total, _FLOOR_BLOCK):
+        hi = min(lo + _FLOOR_BLOCK, total)
+        i = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(ends, hi, side="left") + 1)
+        di = d[i].astype(np.int64)
+        starts = ends[i] - radius // di
+        runs = np.minimum(ends[i], hi) - np.maximum(starts, lo)
+        dd = np.repeat(di, runs)
+        xs = np.arange(lo + 1, hi + 1) - np.repeat(starts, runs)
+        quadrant += int(np.dot(np.repeat(mu[di], runs), Y[dd * xs] // dd))
+    num = 4 + 4 * quadrant
+    den = 4 * radius + 4 * int(Y[1:].sum(dtype=np.int64))
     return _result("visible", radius, num, den, ref)
 
 
@@ -357,68 +386,43 @@ def iroot(x: int, k: int) -> int:
 class FunctionSpec:
     """A growth function f for the gcd(m, floor(f(m))) experiment.
 
-    Two forms: ``alpha_times_n`` is f(m) = alpha * m with alpha either the
-    sqrt(2) marker or an exact rational, and ``n_pow_c`` is f(m) = m^c with
-    c an exact non-integer rational > 0. Each is written as ``coefficients``
-    (A, p, B, q), floor(f(m)) being the largest r >= 0 with B*r^q <= A*m^p:
-    sqrt(2)*m is (2, 2, 1, 2), m^(p/q) is (1, p, 1, q), (a/b)*m is (a, 1, b, 1).
+    floor(f(m)) is the largest r >= 0 with B*r^q <= A*m^p, and label names f
+    in records: sqrt(2)*m is (2, 2, 1, 2), (a/b)*m with a/b > 0 is
+    (a, 1, b, 1) and m^(p/q) with p/q > 0 not an integer is (1, p, 1, q).
     """
 
-    form: str
-    alpha: Fraction | None = None
-    sqrt2: bool = False
-    c: Fraction | None = None
-
-    def __post_init__(self):
-        if self.form == "alpha_times_n":
-            if self.sqrt2:
-                if self.alpha is not None:
-                    raise ValueError("sqrt2 marker excludes an explicit alpha")
-            elif self.alpha is None or self.alpha <= 0:
-                raise ValueError("alpha_times_n needs alpha > 0 or the sqrt2 marker")
-        elif self.form == "n_pow_c":
-            if self.c is None or self.c <= 0 or self.c.denominator == 1:
-                raise ValueError("n_pow_c needs a non-integer rational c > 0")
-        else:
-            raise ValueError(f"unknown form {self.form!r}")
+    A: int
+    p: int
+    B: int
+    q: int
+    label: str
 
     @staticmethod
     def sqrt2_times_n() -> "FunctionSpec":
-        return FunctionSpec(form="alpha_times_n", sqrt2=True)
+        return FunctionSpec(2, 2, 1, 2, "sqrt2*n")
 
     @staticmethod
     def alpha_times_n(alpha) -> "FunctionSpec":
-        return FunctionSpec(form="alpha_times_n", alpha=Fraction(alpha))
+        alpha = Fraction(alpha)
+        if alpha <= 0:
+            raise ValueError("alpha_times_n needs alpha > 0")
+        return FunctionSpec(alpha.numerator, 1, alpha.denominator, 1, f"{alpha}*n")
 
     @staticmethod
     def n_pow_c(c) -> "FunctionSpec":
-        return FunctionSpec(form="n_pow_c", c=Fraction(c))
-
-    def coefficients(self) -> tuple[int, int, int, int]:
-        """(A, p, B, q): floor(f(m)) is the largest r >= 0 with B*r^q <= A*m^p."""
-        if self.form == "alpha_times_n":
-            return (2, 2, 1, 2) if self.sqrt2 else (self.alpha.numerator, 1, self.alpha.denominator, 1)
-        return 1, self.c.numerator, 1, self.c.denominator
-
-    def label(self) -> str:
-        if self.form == "alpha_times_n":
-            a = "sqrt2" if self.sqrt2 else str(self.alpha)
-            return f"{a}*n"
-        return f"n^{self.c}"
+        c = Fraction(c)
+        if c <= 0 or c.denominator == 1:
+            raise ValueError("n_pow_c needs a non-integer rational c > 0")
+        return FunctionSpec(1, c.numerator, 1, c.denominator, f"n^{c}")
 
 
 def floor_f(spec: FunctionSpec, m: int) -> int:
     """floor(f(m)) for a single m >= 1: iroot(A*m^p // B, q) in exact integers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    A, p, B, q = spec.coefficients()
-    if p * m.bit_length() > 1_000_000:
-        raise OverflowError(f"f({m}) = {m}^{spec.c} is too large to evaluate")
-    return iroot(A * m**p // B, q)
-
-
-#: Lanes per block of the fgcd count, which bounds its memory at any n.
-_FLOOR_BLOCK = 1 << 13
+    if spec.p * m.bit_length() > 1_000_000:
+        raise OverflowError(f"f = {spec.label} at a {m.bit_length()}-bit m is too large to evaluate")
+    return iroot(spec.A * m**spec.p // spec.B, spec.q)
 
 
 def _power(x: np.ndarray, e: int) -> np.ndarray:
@@ -488,7 +492,7 @@ def f_gcd_density(n: int, spec: FunctionSpec) -> DensityResult:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ref = constants.reference_constant("fgcd").value
-    A, p, B, q = spec.coefficients()
+    A, p, B, q = spec.A, spec.p, spec.B, spec.q
     if q == 1:  # alpha = A/B: gcd(m, k*m + t) = gcd(m, t), so A mod B counts alike
         A %= B
     num = 0

@@ -89,31 +89,20 @@ class RngStream:
             raise ValueError(f"m must be in [1, 2^62], got {m}")
         if m == 1:
             return np.zeros(count, dtype=np.uint64)
+        halves = m <= 1 << 32
+        lim = np.uint64(((1 << (32 if halves else 64)) // m) * m - 1)
+        mm = np.uint64(m)
         out = np.empty(count, dtype=np.uint64)
         filled = 0
-        if m <= 1 << 32:
-            lim = np.uint64(((1 << 32) // m) * m - 1)
-            mm = np.uint64(m)
-            while filled < count:
-                need = count - filled
-                w = self.words((need + 1) // 2 + 4)
-                lanes = np.empty(2 * len(w), dtype=np.uint64)
-                lanes[0::2] = w & _LO32
-                lanes[1::2] = w >> _S32
-                acc = lanes[lanes <= lim]
-                take = min(len(acc), need)
-                out[filled : filled + take] = acc[:take] % mm
-                filled += take
-        else:
-            lim = np.uint64(((1 << 64) // m) * m - 1)
-            mm = np.uint64(m)
-            while filled < count:
-                need = count - filled
-                w = self.words(need + 4)
-                acc = w[w <= lim]
-                take = min(len(acc), need)
-                out[filled : filled + take] = acc[:take] % mm
-                filled += take
+        while filled < count:
+            need = count - filled
+            w = self.words((need + 1) // 2 + 4 if halves else need + 4)
+            if halves:
+                w = np.stack((w & _LO32, w >> _S32), axis=1).ravel()
+            acc = w[w <= lim]
+            take = min(len(acc), need)
+            out[filled : filled + take] = acc[:take] % mm
+            filled += take
         return out
 
     def uniform_signed(self, half_width: int, count: int) -> np.ndarray:
@@ -223,40 +212,21 @@ def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: in
 # ---------------------------------------------------------------------------
 
 
-def _round_half_even_vec(num, den):
-    q = num // den
-    r = num - q * den
-    two = 2 * r
-    bump = (two > den) | ((two == den) & (q & 1 == 1))
-    return q + bump
-
-
 def gaussian_coprime_mask(zr, zi, wr, wi) -> np.ndarray:
-    """Vectorised Euclidean gcd over Z[i]: True where gcd is a unit.
+    """True where z = a + bi and w = c + di are coprime in Z[i].
 
-    Lanes where both operands are zero come out False (gcd norm 0).
-    Coordinates must stay below ~2^30 so cross products fit int64.
+    As a lattice in Z^2, the ideal (z, w) is spanned by z, iz, w and iw,
+    that is (a, b), (-b, a), (c, d) and (-d, c). Its index in Z[i] is the
+    norm of gcd(z, w), and by the Smith normal form it equals the gcd of the
+    2x2 minors of those four vectors (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4). The six minors are a^2 + b^2, c^2 + d^2,
+    ac + bd, ad - bc and the negatives of the last two, so z and w are
+    coprime exactly when the gcd of the four is 1. At |coordinate| <= 2^30,
+    the sampler's cap, each term is at most 2^61 in magnitude and fits
+    int64. A lane with both operands zero has gcd 0 and comes out False.
     """
-    zr = zr.astype(np.int64).copy()
-    zi = zi.astype(np.int64).copy()
-    wr = wr.astype(np.int64).copy()
-    wi = wi.astype(np.int64).copy()
-    idx = np.flatnonzero((wr != 0) | (wi != 0))
-    while idx.size:
-        azr, azi, awr, awi = zr[idx], zi[idx], wr[idx], wi[idx]
-        den = awr * awr + awi * awi
-        nre = azr * awr + azi * awi
-        nim = azi * awr - azr * awi
-        qr = _round_half_even_vec(nre, den)
-        qi = _round_half_even_vec(nim, den)
-        rre = azr - (qr * awr - qi * awi)
-        rim = azi - (qr * awi + qi * awr)
-        zr[idx] = awr
-        zi[idx] = awi
-        wr[idx] = rre
-        wi[idx] = rim
-        idx = idx[(rre != 0) | (rim != 0)]
-    return zr * zr + zi * zi == 1
+    a, b, c, d = (v.astype(np.int64, copy=False) for v in (zr, zi, wr, wi))
+    return np.gcd.reduce([a * a + b * b, c * c + d * d, a * c + b * d, a * d - b * c]) == 1
 
 
 def estimate_gaussian_coprime(box_half_width: int, trials: int, seed: int, threads: int = 1) -> McEstimate:

@@ -194,6 +194,9 @@ def test_sieve_limit_env_respected(monkeypatch):
     monkeypatch.setenv("COPRIME_LAB_SIEVE_LIMIT", "10000")
     code, _ = run_lines(["exact", "odd-pair", "--n", "10000000"])
     assert code == 3
+    # visible reads mu up to its radius
+    code, _ = run_lines(["exact", "visible", "--radius", "20000"])
+    assert code == 3
 
 
 def test_out_file(tmp_path):
@@ -348,14 +351,14 @@ RECORDS = {
     ],
     "const q3": [
         {"experiment": "const_q3",
-         "params": {"eps": 1e-08, "abs_error_bound": 5.765648534948939e-14,
+         "params": {"eps": 1e-09, "abs_error_bound": 5.765648534948939e-14,
              "method": "euler_product", "prime_bound": 1000, "primes": 168,
              "tail": "prime_zeta"},
          "value": 0.286747428434, "n": ""},
     ],
     "const delta": [
         {"experiment": "const_delta",
-         "params": {"dim": "inf", "eps": 1e-08, "abs_error_bound": 5.845513511338589e-14,
+         "params": {"dim": "inf", "eps": 1e-09, "abs_error_bound": 5.845513511338589e-14,
              "method": "euler_product", "prime_bound": 1000, "primes": 168,
              "tail": "prime_zeta"},
          "value": 0.353236371855, "n": ""},

@@ -145,12 +145,16 @@ def test_constants_need_no_primes_past_1e5(monkeypatch):
 
 
 def test_product_eps_floors_are_pinned():
-    with pytest.raises(PrecisionError):
-        euler_product_inv_zeta2(1e-12)
-    with pytest.raises(PrecisionError):
-        pairwise_triple_constant(1e-9)
-    with pytest.raises(PrecisionError):
-        delta_determinant_constant(6, 1e-9)
+    # one floor, 1e-11, for every Euler product
+    for product in (
+        euler_product_inv_zeta2,
+        pairwise_triple_constant,
+        lambda eps: delta_determinant_constant(6, eps),
+        lambda eps: delta_determinant_constant(None, eps),
+    ):
+        assert product(1e-11).abs_error_bound <= 1e-11
+        with pytest.raises(PrecisionError):
+            product(1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,11 @@ def test_delta_errors():
     with pytest.raises(ValueError):
         delta_determinant_constant(501)
     with pytest.raises(PrecisionError):
-        delta_determinant_constant(None, 1e-9)
+        delta_determinant_constant(None, 1e-12)
+    # the closed form at dimension 1 refuses only an eps below its own bound
+    assert delta_determinant_constant(1, 1e-12).method == "closed_form"
+    with pytest.raises(PrecisionError):
+        delta_determinant_constant(1, 1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +331,7 @@ def test_oracle_matches_closed_forms():
 ORACLE_CASES = [("inv_zeta2", eps) for eps in (1e-6, 1e-9)] + [
     (name, eps)
     for name in ("q3", ("delta", 2), ("delta", 3), ("delta", 6), ("delta", 8), ("delta", None))
-    for eps in (1e-6, 1e-8)
+    for eps in (1e-6, 1e-8, 1e-11)
 ]
 
 

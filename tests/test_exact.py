@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -422,6 +423,20 @@ def test_kfree_brute():
                 assert kfree_count(n, j).numerator == acc, (n, j)
 
 
+def kfree_per_d(n, j):
+    """sum of mu(d) * (n // d^j) over d <= n^(1/j), one Python int at a time."""
+    dmax = iroot(n, j)
+    mu = sieve.shared_tables(dmax).mu[: dmax + 1].tolist()
+    return sum(mu[d] * (n // d**j) for d in range(1, dmax + 1) if mu[d])
+
+
+@pytest.mark.parametrize("n", [10**6, 2**63 - 1, 2**64 + 5, 10**21])
+def test_kfree_matches_per_d_oracle(n):
+    # past 2^63 the quotients n // d^j no longer fit int64
+    for j in (2, 3) if n == 10**6 else (3,):
+        assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j)
+
+
 def test_kfree_sieve_oracle_1e6():
     # per-element oracle: mu(m) != 0 exactly for squarefree m
     from coprime_lab.sieve import shared_tables
@@ -459,6 +474,34 @@ def brute_visible(radius):
     return num, den
 
 
+def row_scan_visible(radius):
+    """(numerator, denominator) from one gcd per first-quadrant row x."""
+    num, den = 4, 4 * radius
+    for x in range(1, radius + 1):
+        ymax = math.isqrt(radius * radius - x * x)
+        if ymax:
+            ys = np.arange(1, ymax + 1, dtype=np.int64)
+            num += 4 * int(np.count_nonzero(np.gcd(np.int64(x), ys) == 1))
+            den += 4 * ymax
+    return num, den
+
+
+def test_visible_matches_row_scan():
+    radii = list(range(1, 301)) + sorted(random.Random(11).sample(range(301, 2001), 12)) + [2000]
+    for radius in radii:
+        r = visible_points_in_disk(radius)
+        assert (r.numerator, r.denominator) == row_scan_visible(radius), radius
+
+
+def test_visible_cap_refused_before_any_table(monkeypatch):
+    def no_table(limit):
+        raise AssertionError(f"asked for a table up to {limit}")
+
+    monkeypatch.setattr(exact, "shared_tables", no_table)
+    with pytest.raises(ResourceLimitError):
+        visible_points_in_disk(2 * 10**7)
+
+
 def test_visible_examples():
     r = visible_points_in_disk(1)
     assert (r.numerator, r.denominator, r.value) == (4, 4, 1.0)
@@ -483,6 +526,9 @@ def test_visible_denominator_is_gauss_count_minus_one():
             if x * x + y * y <= radius * radius
         )
         assert visible_points_in_disk(radius).denominator == pts - 1
+    # OEIS A000328 counts the same points, origin included
+    for radius, pts in ((10**4, 314159053), (10**5, 31415925457), (10**6, 3141592649625)):
+        assert visible_points_in_disk(radius).denominator == pts - 1
 
 
 def test_visible_large():
@@ -501,9 +547,18 @@ def test_function_spec_validation():
     with pytest.raises(ValueError):
         FunctionSpec.alpha_times_n(0)
     with pytest.raises(ValueError):
-        FunctionSpec(form="mystery")
-    assert FunctionSpec.sqrt2_times_n().label() == "sqrt2*n"
-    assert FunctionSpec.n_pow_c(Fraction(3, 2)).label() == "n^3/2"
+        FunctionSpec.n_pow_c("-1/2")
+    assert FunctionSpec.sqrt2_times_n() == FunctionSpec(2, 2, 1, 2, "sqrt2*n")
+    assert FunctionSpec.n_pow_c(Fraction(3, 2)) == FunctionSpec(1, 3, 1, 2, "n^3/2")
+    assert FunctionSpec.alpha_times_n("1.25") == FunctionSpec(5, 1, 4, 1, "5/4*n")
+
+
+def test_floor_f_refuses_huge_m():
+    # the message names f by its label and m by its bit length, never m itself
+    with pytest.raises(OverflowError, match="sqrt2\\*n at a 600001-bit m"):
+        floor_f(FunctionSpec.sqrt2_times_n(), 2**600000)
+    with pytest.raises(OverflowError, match="n\\^3/2"):
+        floor_f(FunctionSpec.n_pow_c("3/2"), 2**400000)
 
 
 def test_iroot_exact():
@@ -604,7 +659,7 @@ def fgcd_lanes(draw):
     """A growth function and lanes m: of every bit length up to 41 (so r
     passes 2^52 for several forms) and m = B*k^q, where A*m^p = B*r^q."""
     spec = draw(st.sampled_from(FGCD_FORMS))
-    A, p, B, q = spec.coefficients()
+    B, q = spec.B, spec.q
     sized = st.integers(0, 40).flatmap(lambda b: st.integers(2**b, 2 ** (b + 1) - 1))
     tie = st.integers(1, 2**13).map(lambda k: min(B * k**q, 2**50))
     lanes = st.one_of(sized, tie)
@@ -615,7 +670,7 @@ def fgcd_lanes(draw):
 @given(fgcd_lanes())
 def test_floor_lanes_proven_only_when_exact(case):
     spec, lanes = case
-    A, p, B, q = spec.coefficients()
+    A, p, B, q = spec.A, spec.p, spec.B, spec.q
     r, proven = exact._floor_lanes(A, p, B, q, np.array(lanes, dtype=np.int64))
     for m, rm, ok in zip(lanes, r.tolist(), proven.tolist()):
         if ok:

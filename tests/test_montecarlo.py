@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -83,6 +84,26 @@ def test_uniform_below_range_and_determinism():
     assert np.all(RngStream(1).uniform_below(1, 50) == 0)
     with pytest.raises(ValueError):
         RngStream(1).uniform_below(0, 1)
+
+
+def ref_uniform_below(seed, m, count):
+    """The first count accepted draws of the stream, one word at a time: m up
+    to 2^32 splits each word into its low then its high 32-bit half."""
+    bits = 32 if m <= 1 << 32 else 64
+    lim = (1 << bits) // m * m
+    out = []
+    for w in ref_splitmix(seed, 4 * count + 8):
+        for lane in (w & 0xFFFFFFFF, w >> 32) if bits == 32 else (w,):
+            if lane < lim and len(out) < count:
+                out.append(lane % m)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 1000, 999999, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 7, 2**62])
+def test_uniform_below_is_the_first_accepted_lanes(m):
+    for count in (1, 7, 600):
+        got = RngStream(m + count).uniform_below(m, count)
+        assert got.tolist() == ref_uniform_below(m + count, m, count), (m, count)
 
 
 def test_uniform_below_hits_all_small_residues():
@@ -190,21 +211,39 @@ def test_estimate_params_record_sampling_model():
 # ---------------------------------------------------------------------------
 
 
+def _mask_agrees_with_scalar_gcd(lanes):
+    zr, zi, wr, wi = (np.array(c, dtype=np.int64) for c in zip(*lanes))
+    got = gaussian_coprime_mask(zr, zi, wr, wi).tolist()
+    for (a, b, c, d), ok in zip(lanes, got):
+        assert ok == is_coprime(GaussianInt(a, b), GaussianInt(c, d)), (a, b, c, d)
+
+
 def test_gaussian_mask_matches_scalar_gcd():
-    pts = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
-    zs, ws = [], []
-    expect = []
-    for z in pts:
-        for w in pts:
-            zs.append(z)
-            ws.append(w)
-            expect.append(is_coprime(GaussianInt(*z), GaussianInt(*w)))
-    zr = np.array([z[0] for z in zs])
-    zi = np.array([z[1] for z in zs])
-    wr = np.array([w[0] for w in ws])
-    wi = np.array([w[1] for w in ws])
-    got = gaussian_coprime_mask(zr, zi, wr, wi)
-    assert got.tolist() == expect
+    # every lane of [-4, 4]^4, one operand zero included, but the both-zero
+    # one: its gcd is undefined and the mask gives False
+    box = [v for v in itertools.product(range(-4, 5), repeat=4) if any(v)]
+    _mask_agrees_with_scalar_gcd(box)
+    assert not gaussian_coprime_mask(*(np.zeros(1, dtype=np.int64),) * 4)[0]
+
+
+def test_gaussian_mask_near_the_coordinate_cap():
+    # coordinates within 2^12 of +-2^30, with and without a planted common
+    # factor 1+i, 2+i or 3+2i (norms 2, 5, 13), and units or zero against them
+    rng = random.Random(12)
+    big = 2**30
+    edge = [(1, 0, 0, 0), (0, -1, big, big), (big, 0, 0, 0), (0, 0, 0, 1), (big, big - 1, 0, 0), (0, 0, big, -big)]
+    lanes, planted = [], []
+    for _ in range(300):
+        a, b, c, d = (rng.choice((-1, 1)) * (big - rng.randrange(4096)) for _ in range(4))
+        lanes.append((a, b, c, d))
+        g = GaussianInt(*rng.choice(((1, 1), (2, 1), (3, 2))))
+        k = g.re + g.im  # keeps u * g inside the cap
+        z = GaussianInt(a // k, b // k) * g
+        w = GaussianInt(c // k, d // k) * g
+        planted.append((z.re, z.im, w.re, w.im))
+    assert all(abs(v) <= big for lane in lanes + planted for v in lane)
+    _mask_agrees_with_scalar_gcd(edge + lanes + planted)
+    assert not gaussian_coprime_mask(*(np.array(c, dtype=np.int64) for c in zip(*planted))).any()
 
 
 def test_gaussian_units_always_coprime():
