@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError
-from .sieve import build_sieve, primes_up_to
+from .sieve import primes_up_to, shared_tables
 
 #: Euler products multiply the factors of the primes up to this bound one by
 #: one and take the primes past it through the prime zeta function.
@@ -84,7 +84,7 @@ def _euler_product(
     log_zeta = np.array([0.0, 0.0] + [math.log(z.value) for z in zetas])  # index m
     # zeta(m) and its value are both >= 1, where log is 1-Lipschitz
     log_zeta_err = np.array([0.0, 0.0] + [z.abs_error_bound for z in zetas]) + 2 * _U * log_zeta
-    mu = build_sieve(_ZETA_MAX // 2).mu
+    mu = shared_tables(_ZETA_MAX // 2).mu
     terms, err = [], 0.0
     for s in range(2, _SERIES_DEGREE + 1):
         k = np.arange(1, _ZETA_MAX // s + 1)

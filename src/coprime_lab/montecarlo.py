@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -144,6 +145,9 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 def _run_batches(trials, seed, batch_fn, threads):
+    """Sum of batch_fn over the batches. Each has its own seed, so the sum
+    does not depend on the workers; a pool starts a thread per submitted
+    batch while none is idle, so they are at most the batches and the CPUs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     nb = -(-trials // BATCH_SIZE)
@@ -152,9 +156,10 @@ def _run_batches(trials, seed, batch_fn, threads):
         cnt = BATCH_SIZE if b < nb - 1 else trials - BATCH_SIZE * (nb - 1)
         return batch_fn(RngStream(batch_seed(seed, b)), cnt)
 
-    if threads <= 1:
+    workers = min(threads, nb, os.cpu_count() or 1)
+    if workers <= 1:
         return sum(one(b) for b in range(nb))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(one, range(nb)))
 
 
@@ -221,12 +226,16 @@ def gaussian_coprime_mask(zr, zi, wr, wi) -> np.ndarray:
     2x2 minors of those four vectors (H. Cohen, A Course in Computational
     Algebraic Number Theory, 2.4). The six minors are a^2 + b^2, c^2 + d^2,
     ac + bd, ad - bc and the negatives of the last two, so z and w are
-    coprime exactly when the gcd of the four is 1. At |coordinate| <= 2^30,
-    the sampler's cap, each term is at most 2^61 in magnitude and fits
-    int64. A lane with both operands zero has gcd 0 and comes out False.
+    coprime exactly when the gcd of the four is 1. The test drops ac + bd:
+    N(z) * N(w) = (ac + bd)^2 + (ad - bc)^2, so a prime dividing the other
+    three divides (ac + bd)^2 and hence ac + bd, and the gcd of three is 1
+    exactly when the gcd of four is (its value may exceed the index). At
+    |coordinate| <= 2^30, the sampler's cap, each term is at most 2^61 in
+    magnitude and fits int64. A lane with both operands zero has gcd 0 and
+    comes out False.
     """
     a, b, c, d = (v.astype(np.int64, copy=False) for v in (zr, zi, wr, wi))
-    return np.gcd.reduce([a * a + b * b, c * c + d * d, a * c + b * d, a * d - b * c]) == 1
+    return np.gcd.reduce([a * a + b * b, c * c + d * d, a * d - b * c]) == 1
 
 
 def estimate_gaussian_coprime(box_half_width: int, trials: int, seed: int, threads: int = 1) -> McEstimate:

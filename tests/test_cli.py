@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from coprime_lab import cli, exact, montecarlo
+from coprime_lab import cli, exact, montecarlo, sieve
 
 
 def run_lines(argv):
@@ -197,6 +197,26 @@ def test_sieve_limit_env_respected(monkeypatch):
     # visible reads mu up to its radius
     code, _ = run_lines(["exact", "visible", "--radius", "20000"])
     assert code == 3
+    # prime-density reads primes up to isqrt(x): 10^4 fits, 10001 does not
+    (rec,) = run_json(["exact", "prime-density", "--x", "100000000"])
+    assert rec["numerator"] == 5761455
+    code, _ = run_lines(["exact", "prime-density", "--x", "100020001"])
+    assert code == 3
+    # the smallest table is built under any limit, so the Euler products'
+    # head primes still fit
+    monkeypatch.setenv("COPRIME_LAB_SIEVE_LIMIT", "500")
+    monkeypatch.setattr(sieve, "_shared", None)
+    code, _ = run_lines(["const", "q3"])
+    assert code == 0
+
+
+def test_prime_density_cap_refused_before_any_table(monkeypatch):
+    def no_build(limit):
+        raise AssertionError(f"built a table up to {limit}")
+
+    monkeypatch.setattr(sieve, "_shared", None)
+    monkeypatch.setattr(sieve, "build_sieve", no_build)
+    assert run_lines(["exact", "prime-density", "--x", "100000000001"]) == (3, [])
 
 
 def test_out_file(tmp_path):

@@ -716,13 +716,49 @@ def test_prime_density():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_prime_density_builds_no_table(monkeypatch):
-    def no_build(limit):
-        raise AssertionError(f"built a table up to {limit}")
+def boolean_sieve_primes(limit):
+    """Ascending primes <= limit by a one-byte-per-index Eratosthenes sieve."""
+    is_p = np.ones(limit + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p)
 
-    monkeypatch.setattr(sieve, "build_sieve", no_build)
+
+def test_prime_count_matches_boolean_sieve():
+    primes = boolean_sieve_primes(10**7)
+    rng = random.Random(10)
+    small = primes[primes <= math.isqrt(10**7 - 2)].tolist()
+    squares = [p * p + e for p in rng.sample(small, 40) + small[:5] + small[-5:] for e in (-1, 0, 1)]
+    for x in list(range(1, 5001)) + rng.sample(range(5001, 10**7), 150) + squares:
+        pi = int(np.searchsorted(primes, x, side="right"))
+        assert prime_density(x).numerator == pi, x
+
+
+# pi(10^k), k = 0..11 (OEIS A006880)
+PI_POW10 = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511,
+            4118054813]
+
+
+def test_prime_count_oeis_powers_of_ten():
+    for k, pi in enumerate(PI_POW10):
+        r = prime_density(10**k)
+        assert (r.numerator, r.denominator) == (pi, 10**k), k
+
+
+def test_prime_density_reads_a_sqrt_table(monkeypatch):
+    limits = []
+
+    def recording_build(limit):
+        limits.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(sieve, "_shared", None)
+    monkeypatch.setattr(sieve, "build_sieve", recording_build)
     r = prime_density(10**7)
     assert (r.numerator, r.denominator) == (664579, 10**7)
+    assert limits and max(limits) <= max(1024, math.isqrt(10**7))
 
 
 def test_density_result_value_is_exact_quotient():

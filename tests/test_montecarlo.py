@@ -171,6 +171,36 @@ def test_pair_reproducible_and_thread_invariant():
     assert 0 <= a.ci_low <= a.estimate <= a.ci_high <= 1
 
 
+def test_pool_workers_bounded_by_batches_and_cpus(monkeypatch):
+    workers = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    trials = 5 * BATCH_SIZE + 3  # 6 batches
+    serial = estimate_coprime_pair(10**6, trials, seed=21, threads=1).successes
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    for cpus, expected in ((4, 4), (64, 6)):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        assert estimate_coprime_pair(10**6, trials, seed=21, threads=100_000).successes == serial
+        assert workers.pop() == expected
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert estimate_coprime_pair(10**6, trials, seed=21, threads=100_000).successes == serial
+    assert workers == []
+
+
 def test_pair_covers_exact_density():
     # ordered-with-repetition target: (2 Phi(100) - 1) / 100^2
     target = (2 * exact.totient_sum(100) - 1) / 100**2

@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -48,6 +49,44 @@ def factorize(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def smooth_part_tables(n):
+    """(mu, phi) for 0..n by dividing each m by its prime powers p^e, p <= sqrt(n).
+
+    An independent construction of the same tables: the product of those
+    prime powers is built up in its own array, and m divided by it leaves 1
+    or the one prime factor of m above sqrt(n), applied in a final pass.
+    """
+    mu = np.ones(n + 1, dtype=np.int8)
+    phi = np.ones(n + 1, dtype=np.int32)
+    smooth = np.ones(n + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(n) + 1):
+        if phi[p] == 1:
+            phi[p::p] *= p - 1
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            pk = p
+            while pk <= n:
+                smooth[pk::pk] *= p
+                if pk > p:
+                    phi[pk::pk] *= p
+                pk *= p
+    rem = np.arange(n + 1, dtype=np.int32) // smooth
+    big = rem > 1
+    phi[big] *= rem[big] - 1
+    mu[big] = -mu[big]
+    mu[0] = phi[0] = 0
+    return mu, phi
+
+
+def test_build_matches_smooth_part_tables():
+    # every n up to 300, then prime n, n = p^2, powers of two and 10^6
+    for n in list(range(1, 301)) + [65536, 99991, 994009, 999983, 10**6]:
+        t = build_sieve(n)
+        mu, phi = smooth_part_tables(n)
+        assert t.mu.dtype == mu.dtype and t.phi.dtype == phi.dtype
+        assert np.array_equal(t.mu, mu) and np.array_equal(t.phi, phi), n
 
 
 def test_degenerate_limit():
