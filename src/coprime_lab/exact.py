@@ -329,22 +329,35 @@ def visible_points_in_disk(radius: int) -> DensityResult:
     2^-53 * (k+1), which is less as (k+1)^2 < 2^52; so it floors to k.
     The (d, x) lanes of squarefree d, about R ln R of them, run in blocks
     of _FLOOR_BLOCK, one int64 dot each.
+
+    Y, the squarefree d and the lane ends are int32, and Y and d are filled
+    a block at a time, so no other array spans the disk. Y and d are at most
+    R <= 1e7, and the lane total, the sum over squarefree d <= R of R // d,
+    is at most R (1 + ln R) < 1.8e8 < 2^31.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if radius > 10**7:
         raise ResourceLimitError(f"disk scan capped at radius 1e7, got {radius}")
     ref = constants.reference_constant("visible").value
-    mu = shared_tables(radius).mu
-    Y = np.arange(radius + 1, dtype=np.float64)  # in place: one float array at a time
-    np.sqrt(np.subtract(radius * radius, np.square(Y, out=Y), out=Y), out=Y)
-    Y = Y.astype(np.int32)
-    d = np.flatnonzero(mu[: radius + 1]).astype(np.int32)  # squarefree d; mu[0] = 0
-    ends = np.cumsum(radius // d, dtype=np.int64)  # lanes of d[:i + 1]
+    mu = shared_tables(radius).mu[: radius + 1]
+    Y = np.empty(radius + 1, dtype=np.int32)
+    d = np.empty(np.count_nonzero(mu), dtype=np.int32)  # squarefree d; mu[0] = 0
+    nd = 0
+    for lo in range(0, radius + 1, _FLOOR_BLOCK):
+        x = np.arange(lo, min(lo + _FLOOR_BLOCK, radius + 1), dtype=np.float64)
+        Y[lo : lo + len(x)] = np.sqrt(np.subtract(radius * radius, np.square(x, out=x), out=x), out=x)
+        sf = np.flatnonzero(mu[lo : lo + len(x)])
+        d[nd : nd + len(sf)] = sf + lo
+        nd += len(sf)
+    ends = radius // d
+    np.cumsum(ends, out=ends)  # lanes of d[:i + 1]
     total, quadrant = int(ends[-1]), 0
     for lo in range(0, total, _FLOOR_BLOCK):
         hi = min(lo + _FLOOR_BLOCK, total)
-        i = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(ends, hi, side="left") + 1)
+        # int32 keys: a Python int key makes searchsorted copy ends to int64
+        lo32, hi32 = np.int32(lo), np.int32(hi)
+        i = slice(np.searchsorted(ends, lo32, side="right"), np.searchsorted(ends, hi32, side="left") + 1)
         di = d[i].astype(np.int64)
         starts = ends[i] - radius // di
         runs = np.minimum(ends[i], hi) - np.maximum(starts, lo)

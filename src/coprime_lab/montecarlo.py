@@ -41,8 +41,13 @@ _MIX2 = 0x94D049BB133111EB
 _G = np.uint64(_GAMMA)
 _M1 = np.uint64(_MIX1)
 _M2 = np.uint64(_MIX2)
-_S30, _S27, _S31, _S32 = (np.uint64(s) for s in (30, 27, 31, 32))
-_LO32 = np.uint64(0xFFFFFFFF)
+_S30, _S27, _S31 = (np.uint64(s) for s in (30, 27, 31))
+
+#: Words per block of the in-place finalizer: two uint64 blocks stay in L2.
+_WORD_BLOCK = 1 << 15
+
+#: Largest m that RngStream.uniform_below accepts.
+_DRAW_MAX = 1 << 62
 
 
 def mix64(z: int) -> int:
@@ -73,43 +78,55 @@ class RngStream:
         self._idx = 0
 
     def words(self, n: int) -> np.ndarray:
-        idx = np.arange(self._idx + 1, self._idx + n + 1, dtype=np.uint64)
+        z = np.arange(self._idx + 1, self._idx + n + 1, dtype=np.uint64)
         self._idx += n
-        z = np.uint64(self.seed) + idx * _G
-        z = (z ^ (z >> _S30)) * _M1
-        z = (z ^ (z >> _S27)) * _M2
-        return z ^ (z >> _S31)
+        # the finalizer in place on cache-sized blocks of z, t holding each shift
+        t = np.empty(min(n, _WORD_BLOCK), dtype=np.uint64)
+        for lo in range(0, n, _WORD_BLOCK):
+            v = z[lo : lo + _WORD_BLOCK]
+            s = t[: len(v)]
+            v *= _G
+            v += np.uint64(self.seed)
+            v ^= np.right_shift(v, _S30, out=s)
+            v *= _M1
+            v ^= np.right_shift(v, _S27, out=s)
+            v *= _M2
+            v ^= np.right_shift(v, _S31, out=s)
+        return z
 
     def uniform_below(self, m: int, count: int) -> np.ndarray:
-        """count uniform integers in [0, m), modulo-bias-free by rejection.
+        """count uniform int64 values in [0, m), modulo-bias-free by rejection.
 
-        Values of m up to 2^32 use both 32-bit halves of each word (low half
-        first); larger m rejects whole words.
+        Values of m up to 2^32 use both 32-bit halves of each word, low half
+        first on every host, and filter and reduce them in 32 bits; larger m
+        rejects whole words.
         """
-        if m < 1 or m > 1 << 62:
+        if m < 1 or m > _DRAW_MAX:
             raise ValueError(f"m must be in [1, 2^62], got {m}")
         if m == 1:
-            return np.zeros(count, dtype=np.uint64)
+            return np.zeros(count, dtype=np.int64)
         halves = m <= 1 << 32
-        lim = np.uint64(((1 << (32 if halves else 64)) // m) * m - 1)
-        mm = np.uint64(m)
-        out = np.empty(count, dtype=np.uint64)
+        lane = np.uint32 if halves else np.uint64
+        lim = lane(((1 << (32 if halves else 64)) // m) * m - 1)
+        mm = (np.uint32 if m < 1 << 32 else np.uint64)(m)  # 2^32 needs 64 bits
+        out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
             need = count - filled
             w = self.words((need + 1) // 2 + 4 if halves else need + 4)
-            if halves:
-                w = np.stack((w & _LO32, w >> _S32), axis=1).ravel()
+            if halves:  # little-endian view: low half first, a copy only on big-endian hosts
+                w = w.astype("<u8", copy=False).view("<u4")
             acc = w[w <= lim]
             take = min(len(acc), need)
-            out[filled : filled + take] = acc[:take] % mm
+            np.remainder(acc[:take], mm, out=out[filled : filled + take], casting="unsafe")
             filled += take
         return out
 
     def uniform_signed(self, half_width: int, count: int) -> np.ndarray:
         """count uniform int64 values in [-half_width, +half_width]."""
-        vals = self.uniform_below(2 * half_width + 1, count).astype(np.int64)
-        return vals - half_width
+        vals = self.uniform_below(2 * half_width + 1, count)
+        vals -= half_width
+        return vals
 
 
 @dataclass(frozen=True)
@@ -176,15 +193,23 @@ def _finish(kind, successes, trials, seed, params) -> McEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _check_range_max(range_max: int) -> None:
+    if not 1 <= range_max <= _DRAW_MAX:
+        raise ValueError(f"range_max must be in [1, 2^62], got {range_max}")
+
+
 def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered pairs from [1, M]^2; success when gcd = 1."""
-    if range_max < 1:
-        raise ValueError(f"range_max must be >= 1, got {range_max}")
+    _check_range_max(range_max)
 
     def batch(stream, cnt):
-        i = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
-        k = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
-        return int(np.count_nonzero(np.gcd(i, k) == 1))
+        i = stream.uniform_below(range_max, cnt)
+        k = stream.uniform_below(range_max, cnt)
+        i += 1
+        k += 1
+        # a pair with two even entries fails at once
+        keep = (i | k) & 1 == 1
+        return int(np.count_nonzero(np.gcd(i[keep], k[keep]) == 1))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish("pair", succ, trials, seed, {"range_max": range_max})
@@ -192,13 +217,13 @@ def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int =
 
 def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered triples from [1, M]^3; success when pairwise coprime."""
-    if range_max < 1:
-        raise ValueError(f"range_max must be >= 1, got {range_max}")
+    _check_range_max(range_max)
 
     def batch(stream, cnt):
-        a = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
-        b = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
-        c = stream.uniform_below(range_max, cnt).astype(np.int64) + 1
+        a, b, c = (stream.uniform_below(range_max, cnt) for _ in range(3))
+        a += 1
+        b += 1
+        c += 1
         # each test runs only on the triples that passed the ones before it;
         # a triple with two even entries fails at once
         keep = ((a & b) | (a & c) | (b & c)) & 1 == 1
@@ -483,8 +508,11 @@ def estimate_det_coprime(
     """
     if not 1 <= dim <= 8:
         raise ValueError(f"dim must be in [1, 8], got {dim}")
-    if entry_max < 2:
-        raise ValueError(f"entry_max must be >= 2, got {entry_max}")
+    # symmetric entries draw below 2 * entry_max - 1
+    top = _DRAW_MAX // 2 if symmetric_entries else _DRAW_MAX
+    if not 2 <= entry_max <= top:
+        bound = "2^61 with symmetric entries" if symmetric_entries else "2^62"
+        raise ValueError(f"entry_max must be in [2, {bound}], got {entry_max}")
     emax_abs = entry_max - 1
     primes = _crt_primes_for(dim, emax_abs)
 
@@ -492,7 +520,7 @@ def estimate_det_coprime(
         if symmetric_entries:
             flat = stream.uniform_signed(emax_abs, cnt * dim * dim)
         else:
-            flat = stream.uniform_below(entry_max, cnt * dim * dim).astype(np.int64)
+            flat = stream.uniform_below(entry_max, cnt * dim * dim)
         return flat.reshape(cnt, dim, dim)
 
     def batch(stream, cnt):

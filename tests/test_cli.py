@@ -98,6 +98,31 @@ def test_mc_threads_do_not_change_successes():
     assert a["params"]["successes"] == b["params"]["successes"]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mc_pair_pinned_successes_at_any_thread_count(threads):
+    # the benchmark's pinned mc pair run
+    argv = "mc pair --max 1000000000 --trials 4000000 --seed 1000 --threads".split() + [threads]
+    (rec,) = run_json(argv)
+    assert rec["params"]["successes"] == 2432039
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("mc pair --max 5000000000000000000",
+     "range_max must be in [1, 2^62], got 5000000000000000000"),
+    ("mc triple3 --max 0", "range_max must be in [1, 2^62], got 0"),
+    ("mc det --entry-max 5000000000000000000",
+     "entry_max must be in [2, 2^62], got 5000000000000000000"),
+    ("mc det --symmetric-entries --entry-max 4000000000000000000",
+     "entry_max must be in [2, 2^61 with symmetric entries], got 4000000000000000000"),
+])
+def test_mc_size_refused_before_any_batch(argv, message, monkeypatch, capsys):
+    batches = []
+    monkeypatch.setattr(montecarlo, "_run_batches", lambda *a: batches.append(a))
+    code, lines = run_lines(argv.split() + ["--trials", "100"])
+    assert (code, lines, batches) == (2, [], [])
+    assert capsys.readouterr().err == f"invalid arguments: {message}\n"
+
+
 def test_fgcd_cli_forms():
     (rec,) = run_json(["exact", "fgcd", "--n", "10", "--f", "alpha_n", "--alpha", "sqrt2"])
     assert rec["numerator"] == 6

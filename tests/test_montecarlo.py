@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -106,6 +107,37 @@ def test_uniform_below_is_the_first_accepted_lanes(m):
         assert got.tolist() == ref_uniform_below(m + count, m, count), (m, count)
 
 
+# Two consecutive uniform_below(m, count) calls from RngStream(m + count):
+# per count in (1, 7, 65536), the words drawn (_idx after both) and the first
+# 16 hex digits of the SHA-256 of both outputs as little-endian int64. Recorded
+# from the stream before its draw path was rewritten in place; 2^31 + 1 and
+# 3 * 2^60 reject about half and a sixteenth of their lanes.
+STREAM_PINS = {
+    2: ((10, "814dd7b9784d57c1"), (16, "e73b6b2d044211f0"), (65544, "62db6f293454158d")),
+    3: ((10, "fa7c63f601691b95"), (16, "2d8bb74fa2bc2042"), (65544, "83c768fb820c5655")),
+    6: ((10, "814dd7b9784d57c1"), (16, "3ee96ec0dce98c62"), (65544, "ff6f83b07bfcefbe")),
+    1000: ((10, "a8546eab41eb015e"), (16, "a4d172d4d7da7381"), (65544, "72f36f82dd1c6515")),
+    999999: ((10, "497a9c255e647a71"), (16, "f7b824d9ba456059"), (65559, "d7cc0019e71909ca")),
+    2**31 + 1: ((10, "ba31b3ec630c85f6"), (16, "f63f948a102475d2"), (131524, "9f5e5d021abc2903")),
+    2**32 - 1: ((10, "c707834988bc7a94"), (16, "cd353d0f55c44ae4"), (65544, "286ff405d9ebbf34")),
+    2**32: ((10, "8a9c56cb97e9acf9"), (16, "b37e628257dad87c"), (65544, "8e78c6c708bfd2ab")),
+    2**32 + 1: ((10, "31a4ea63e43c0a4a"), (22, "18f0d9f98f813f52"), (131080, "0eaa33245de1615f")),
+    3 * 2**60: ((10, "a3f7e883ba3718a6"), (22, "5fa58bbe518dda59"), (139800, "fdd8ecb14a2b606d")),
+    2**62: ((10, "804bf3326479850e"), (22, "f66b79c8478542fb"), (131080, "9b7bbcdc7e7bc1dc")),
+}
+
+
+@pytest.mark.parametrize("m", sorted(STREAM_PINS))
+def test_uniform_below_stream_pinned_across_calls(m):
+    for count, (idx, digest) in zip((1, 7, 65536), STREAM_PINS[m]):
+        s = RngStream(m + count)
+        a = s.uniform_below(m, count)
+        b = s.uniform_below(m, count)
+        assert a.dtype == b.dtype == np.int64
+        got = hashlib.sha256(a.astype("<i8").tobytes() + b.astype("<i8").tobytes()).hexdigest()
+        assert (s._idx, got[:16]) == (idx, digest), (m, count)
+
+
 def test_uniform_below_hits_all_small_residues():
     vals = RngStream(9).uniform_below(6, 20000)
     counts = np.bincount(vals.astype(np.int64), minlength=6)
@@ -169,6 +201,19 @@ def test_pair_reproducible_and_thread_invariant():
     c = estimate_coprime_pair(10**6, 3 * BATCH_SIZE + 17, seed=21, threads=1)
     assert a.successes == b.successes == c.successes
     assert 0 <= a.ci_low <= a.estimate <= a.ci_high <= 1
+
+
+@pytest.mark.parametrize("range_max", [1, 2, 3, 1000, 2**62])
+def test_pair_count_is_scalar_gcd_count_over_the_same_draws(range_max):
+    # two batches; the estimator drops pairs with two even entries before its gcd
+    trials = BATCH_SIZE + 3000
+    want = 0
+    for b, cnt in enumerate((BATCH_SIZE, 3000)):
+        s = RngStream(batch_seed(17, b))
+        i = s.uniform_below(range_max, cnt).tolist()
+        k = s.uniform_below(range_max, cnt).tolist()
+        want += sum(math.gcd(x + 1, y + 1) == 1 for x, y in zip(i, k))
+    assert estimate_coprime_pair(range_max, trials, seed=17).successes == want
 
 
 def test_pool_workers_bounded_by_batches_and_cpus(monkeypatch):
