@@ -6,14 +6,23 @@ combined by integer summation. Results are therefore identical for any
 worker count, and re-running with the same seed reproduces successes
 exactly on any platform.
 
+Every kernel computes on the narrowest exact lanes that a bound on its
+operands allows. The pair and triple gcds run in int32 when range_max <=
+2^31 - 1 and in int64 above, after dropping lanes with two entries even or
+two divisible by 3. The Gaussian gcd runs in int32 when every |coordinate|
+<= 2^15 - 1, as its terms are then at most 2 (2^15 - 1)^2 < 2^31.
+
 Determinant trials need exact integer determinants. Each is a
 division-free minor expansion, with no pivots, computed modulo 2^64 in
-wrapping uint64 and modulo as many primes below 2^28 as it takes for the
-moduli to exceed twice the Hadamard bound (none for dim <= 5 at entries
-below 1000). Signed Garner digits rebuild the determinant in int64 on
-every lane where it fits, and as a Python int on the rare lanes where it
-does not. The pure-integer Bareiss routine below is the oracle: every stack
-checks a lane against it.
+wrapping uint64. The part above 2^64 comes from nothing where 2^64 exceeds
+twice the Hadamard bound (dim <= 5 at entries below 1000), from one float64
+pass of the same expansion where its rounding error is proven below 2^61
+(every dim <= 8 at entries up to about 3,000; the proof is in _exact_dets),
+and otherwise from residues modulo as many primes below 2^28 as the
+Hadamard bound calls for, by signed Garner digits. Determinants come back
+in int64 on every lane where they fit, and as Python ints on the lanes
+where they do not. The pure-integer Bareiss routine below is the oracle:
+every stack checks a lane against it.
 """
 
 from __future__ import annotations
@@ -198,18 +207,44 @@ def _check_range_max(range_max: int) -> None:
         raise ValueError(f"range_max must be in [1, 2^62], got {range_max}")
 
 
+def _gcd_lanes(bound: int):
+    """The gcd lane type for operands at most bound: int32 below 2^31, else int64."""
+    return np.int32 if bound < 1 << 31 else np.int64
+
+
+def _divisible_by_3(x: np.ndarray) -> np.ndarray:
+    """True where 3 divides x, for x >= 0 in 32- or 64-bit lanes.
+
+    3 is odd, so x -> x * 3^-1 mod 2^b is a bijection of [0, 2^b), and it
+    maps each multiple 3j onto j <= (2^b - 1) / 3: x is a multiple of 3
+    exactly when its image is at most (2^b - 1) / 3. For b = 32 that is
+    x * 0xAAAAAAAB mod 2^32 <= 0x55555555.
+    """
+    bits = 8 * x.itemsize
+    u = np.dtype(f"u{x.itemsize}").type
+    return x.view(u) * u(((2 << bits) + 1) // 3) <= u(((1 << bits) - 1) // 3)
+
+
+def _kept(keep: np.ndarray, *arrays: np.ndarray) -> list:
+    """The lanes of each array where keep is True (one index list for all;
+    a boolean-mask gather per array costs several times as much)."""
+    ix = np.flatnonzero(keep)
+    return [x.take(ix) for x in arrays]
+
+
 def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered pairs from [1, M]^2; success when gcd = 1."""
     _check_range_max(range_max)
+    lanes = _gcd_lanes(range_max)
 
     def batch(stream, cnt):
-        i = stream.uniform_below(range_max, cnt)
-        k = stream.uniform_below(range_max, cnt)
+        i = stream.uniform_below(range_max, cnt).astype(lanes, copy=False)
+        k = stream.uniform_below(range_max, cnt).astype(lanes, copy=False)
         i += 1
         k += 1
-        # a pair with two even entries fails at once
-        keep = (i | k) & 1 == 1
-        return int(np.count_nonzero(np.gcd(i[keep], k[keep]) == 1))
+        # a pair with a common factor 2 or 3 fails at once
+        i, k = _kept(((i | k) & 1 == 1) & ~(_divisible_by_3(i) & _divisible_by_3(k)), i, k)
+        return int(np.count_nonzero(np.gcd(i, k) == 1))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish("pair", succ, trials, seed, {"range_max": range_max})
@@ -218,20 +253,21 @@ def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int =
 def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered triples from [1, M]^3; success when pairwise coprime."""
     _check_range_max(range_max)
+    lanes = _gcd_lanes(range_max)
 
     def batch(stream, cnt):
-        a, b, c = (stream.uniform_below(range_max, cnt) for _ in range(3))
+        a, b, c = (stream.uniform_below(range_max, cnt).astype(lanes, copy=False) for _ in range(3))
         a += 1
         b += 1
         c += 1
         # each test runs only on the triples that passed the ones before it;
-        # a triple with two even entries fails at once
-        keep = ((a & b) | (a & c) | (b & c)) & 1 == 1
-        a, b, c = a[keep], b[keep], c[keep]
-        keep = np.gcd(a, b) == 1
-        a, b, c = a[keep], b[keep], c[keep]
-        keep = np.gcd(a, c) == 1
-        return int(np.count_nonzero(np.gcd(b[keep], c[keep]) == 1))
+        # a triple with two entries even, or two divisible by 3, fails at once
+        ta, tb, tc = _divisible_by_3(a), _divisible_by_3(b), _divisible_by_3(c)
+        keep = (((a & b) | (a & c) | (b & c)) & 1 == 1) & ~((ta & tb) | (ta & tc) | (tb & tc))
+        a, b, c = _kept(keep, a, b, c)
+        a, b, c = _kept(np.gcd(a, b) == 1, a, b, c)
+        b, c = _kept(np.gcd(a, c) == 1, b, c)
+        return int(np.count_nonzero(np.gcd(b, c) == 1))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish("triple3", succ, trials, seed, {"range_max": range_max})
@@ -254,13 +290,19 @@ def gaussian_coprime_mask(zr, zi, wr, wi) -> np.ndarray:
     coprime exactly when the gcd of the four is 1. The test drops ac + bd:
     N(z) * N(w) = (ac + bd)^2 + (ad - bc)^2, so a prime dividing the other
     three divides (ac + bd)^2 and hence ac + bd, and the gcd of three is 1
-    exactly when the gcd of four is (its value may exceed the index). At
-    |coordinate| <= 2^30, the sampler's cap, each term is at most 2^61 in
-    magnitude and fits int64. A lane with both operands zero has gcd 0 and
-    comes out False.
+    exactly when the gcd of four is (its value may exceed the index). A lane
+    with both operands zero has gcd 0 and comes out False.
+
+    With every |coordinate| <= B the three terms are at most 2 B^2 in
+    magnitude: below 2^31 when B <= 2^15 - 1, where the gcd runs in int32
+    lanes, and at most 2^61 at the sampler's cap B = 2^30, where it runs in
+    int64. B is read off the lanes themselves.
     """
-    a, b, c, d = (v.astype(np.int64, copy=False) for v in (zr, zi, wr, wi))
-    return np.gcd.reduce([a * a + b * b, c * c + d * d, a * d - b * c]) == 1
+    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (zr, zi, wr, wi))
+    box = max(int(np.abs(v).max(initial=0)) for v in (a, b, c, d))
+    if box < 1 << 15:
+        a, b, c, d = (v.astype(np.int32) for v in (a, b, c, d))
+    return np.gcd(np.gcd(a * a + b * b, c * c + d * d), a * d - b * c) == 1
 
 
 def estimate_gaussian_coprime(box_half_width: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
@@ -351,21 +393,43 @@ _DET_CHUNK = 1 << 14
 
 
 def _crt_primes_for(dim: int, entry_max_abs: int) -> list[int]:
-    # 2^64 times the product of the primes must exceed twice the Hadamard
-    # bound (sqrt(n)*emax)^n; no prime at all when 2^64 alone does
-    h = 2 * ((math.isqrt(dim) + 1) * max(entry_max_abs, 1)) ** dim
+    """The fewest CRT primes whose product M with 2^64 exceeds twice the
+    Hadamard bound (sqrt(dim) * e)^dim, e = entry_max_abs; none when 2^64
+    alone does. The test is exact in integers: M^2 > 4 * dim^dim * e^(2 dim).
+    """
+    h = 4 * dim**dim * max(entry_max_abs, 1) ** (2 * dim)
     prod = _WRAP
     out = []
     for p in _CRT_PRIMES:
-        if prod > h:
+        if prod * prod > h:
             break
         out.append(p)
         prod *= p
-    if prod <= h:
+    if prod * prod <= h:
         raise OverflowError(
             f"determinant width for dim {dim}, entry bound {entry_max_abs} exceeds the CRT pool"
         )
     return out
+
+
+def _det_route(dim: int, entry_max_abs: int) -> tuple[str, list[int]]:
+    """How _exact_dets rebuilds the high part of determinants whose entries
+    are at most e = entry_max_abs in magnitude, and with which CRT primes.
+
+    "none" when the 2^64 residue alone covers twice the Hadamard bound;
+    else "float64" where a float64 pass is proven close enough, that is
+    e <= 2^53 and gamma_c * dim! * e^dim < 2^61 with c = dim(dim+1)/2 - 1
+    (see _exact_dets), tested exactly as c * dim! * e^dim < 2^61 (2^53 - c);
+    else "crt" with the primes of _crt_primes_for.
+    """
+    primes = _crt_primes_for(dim, entry_max_abs)
+    if not primes:
+        return "none", []
+    c = dim * (dim + 1) // 2 - 1
+    e = entry_max_abs
+    if e <= 1 << 53 and c * math.factorial(dim) * e**dim < (1 << 61) * ((1 << 53) - c):
+        return "float64", []
+    return "crt", primes
 
 
 @functools.lru_cache(maxsize=8)
@@ -391,41 +455,27 @@ def _minor_schedule(n: int) -> tuple:
     return tuple(levels)
 
 
-def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
-    """Determinants modulo m of a stack of int64 matrices, shape (L, n, n).
+def _expand(mats: np.ndarray, dtype, reduce=None) -> np.ndarray:
+    """The division-free minor expansion of every lane of mats, shape (L, n, n).
 
-    m is 2^64 or a prime below 2^28. The determinant is a division-free
-    minor expansion from the bottom row up: 2^n - 1 minors and n * 2^(n-1)
-    multiplies per lane, with no pivot and no inverse, so every lane is
-    exact. It runs on blocks of lanes transposed to (n, n, lanes), so each
-    entry and minor is a contiguous vector.
-
-    Modulo 2^64 the arithmetic is plain wrapping uint64, a ring
-    homomorphism from Z, and the result is returned as its int64 view.
-
-    Modulo p the entries are reduced to [0, p) and every minor to a signed
-    residue r with |r| < p, so each product is below 2^56 and the <= 8
-    signed terms of a minor x stay below 8p^2 < 2^59 in int64. x is reduced
-    without division as x - q*p with q = rint(fl(fl(x) * fl(1/p))): as
-    |x/p| < 8p < 2^31, the three roundings move x/p by less than
-    2^-51 * 2^31 = 2^-20, so |x/p - q| < 1/2 + 2^-20 and |x - q*p| < p. The
-    determinant comes back in [0, p).
+    It runs from the bottom row up: 2^n - 1 minors and n * 2^(n-1)
+    multiplies per lane, with no pivot and no inverse. Lanes go in blocks of
+    _DET_CHUNK, each cast to dtype and transposed to (n, n, lanes), so each
+    entry and minor is a contiguous vector. reduce(x), if given, acts in
+    place on the entries and on each level of minors. Returns one
+    determinant per lane, in dtype.
     """
     lanes, n, _ = mats.shape
-    wrap = m == _WRAP
-    out = np.empty(lanes, dtype=np.uint64 if wrap else np.int64)
-    inv = 1.0 / m
+    out = np.empty(lanes, dtype=dtype)
     for lo in range(0, lanes, _DET_CHUNK):
-        a = mats[lo : lo + _DET_CHUNK].transpose(1, 2, 0)
-        if wrap:
-            a = np.ascontiguousarray(a).view(np.uint64)
-        else:
-            a = np.remainder(a, m, order="C")
+        a = mats[lo : lo + _DET_CHUNK].transpose(1, 2, 0).astype(dtype, order="C")
+        if reduce is not None:
+            reduce(a)
         minors = a[n - 1]
         tmp = np.empty_like(minors[0])
         for k, level in enumerate(_minor_schedule(n), start=2):
             row = a[n - k]
-            nxt = np.empty((len(level), len(tmp)), dtype=a.dtype)
+            nxt = np.empty((len(level), len(tmp)), dtype=dtype)
             for acc, ((c, sub), *rest) in zip(nxt, level):
                 np.multiply(row[c], minors[sub], out=acc)
                 for t, (c, sub) in enumerate(rest):
@@ -434,36 +484,81 @@ def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
                         acc += tmp
                     else:
                         acc -= tmp
-            if not wrap:
-                q = np.rint(nxt * inv).astype(np.int64)
-                q *= m
-                nxt -= q
+            if reduce is not None:
+                reduce(nxt)
             minors = nxt
         out[lo : lo + _DET_CHUNK] = minors[0]
-    return out.view(np.int64) if wrap else out % m
+    return out
 
 
-def _exact_dets(mats: np.ndarray, primes: list[int]) -> tuple[np.ndarray, dict[int, int]]:
+def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
+    """Determinants modulo m of a stack of int64 matrices, shape (L, n, n),
+    by _expand; m is 2^64 or a prime below 2^28, and every lane is exact.
+
+    Modulo 2^64 the arithmetic is plain wrapping uint64, a ring
+    homomorphism from Z, and the result is returned as its int64 view.
+
+    Modulo p the entries and every minor are reduced to a signed residue r
+    with |r| < p, so each product is below 2^56 and the <= 8 signed terms
+    of a minor stay below 8p^2 < 2^59 in int64. Each x reduced is below
+    2^62 in magnitude, and is reduced without division as x - q*p with
+    q = rint(fl(fl(x) * fl(1/p))): as |x/p| < 2^62 / 2^27 = 2^35, the three
+    roundings move x/p by less than 2^-51 * 2^35 = 2^-16, so
+    |x/p - q| < 1/2 + 2^-16 and |x - q*p| < p. The determinant comes back
+    in [0, p).
+    """
+    if m == _WRAP:
+        return _expand(mats, np.uint64).view(np.int64)
+    inv = 1.0 / m
+
+    def reduce(x):
+        q = np.rint(x * inv).astype(np.int64)
+        q *= m
+        x -= q
+
+    return _expand(mats, np.int64, reduce) % m
+
+
+def _exact_dets(
+    mats: np.ndarray, primes: list[int], route: str = "crt"
+) -> tuple[np.ndarray, dict[int, int]]:
     """Exact determinants of a stack of int64 matrices, shape (L, n, n).
 
     Returns (low, wide). low is int64 and low[l] is det(mats[l]) on every
     lane whose determinant fits int64; wide maps each other lane to its
-    determinant as a Python int.
+    determinant as a Python int. route and primes come from _det_route.
 
-    The determinant is rebuilt from its residues modulo 2^64 = m_0 and the
-    primes m_1..m_k by Garner's mixed-radix digits in signed form:
-    x = v_0 + sum_i v_i * R_i with R_i = m_0 ... m_(i-1), v_0 in
-    [-2^63, 2^63) (the int64 view of the 2^64 residue) and v_i in
-    (-p_i/2, p_i/2] for i >= 1. Since sum_i (p_i - 1) R_i telescopes to
+    Every route starts from r, the int64 view of the determinant modulo
+    2^64, and writes det = r + sum_i v_i R_i with R_1 = 2^64: a determinant
+    fits int64 exactly when every v_i is 0, and then it is r; only the other
+    lanes become Python ints.
+
+    Route "float64" (primes empty) runs the same expansion once more in
+    float64, with no reduction, giving f, and takes the one digit
+    v_1 = rint((f - fl(r)) * 2^-64). A minor of order k is a length-k signed
+    dot product of entries with minors of order k - 1, so by the standard
+    bound (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.1) each of its monomials carries at most c(k) = c(k-1) + k
+    roundings, c(1) = 0, and f is within gamma_c * per(|A|) of det with
+    c = c(n) = n(n+1)/2 - 1, gamma_c = c u / (1 - c u) and u = 2^-53; the
+    entries are exact in float64 as e <= 2^53. per(|A|) <= n! e^n, so the
+    route's condition gamma_c n! e^n < 2^61 gives |f - det| < 2^61. With
+    det = r + 2^64 v_1, |r| <= 2^63 gives |fl(r) - r| <= 2^10, and
+    n! e^n < 2^61 / gamma_c <= 2^113 gives |v_1| < 2^50, so the subtraction
+    rounds by at most (|v_1| + 1) * 2^-53 < 2^-3 after scaling: the scaled
+    difference is within 1/8 + 2^-54 + 1/8 < 1/2 of v_1, and rint returns it.
+
+    Routes "none" and "crt" rebuild the determinant from its residues
+    modulo 2^64 = m_0 and the primes m_1..m_k by Garner's mixed-radix digits
+    in signed form: R_i = m_0 ... m_(i-1), v_0 = r in [-2^63, 2^63) and v_i
+    in (-p_i/2, p_i/2] for i >= 1. Since sum_i (p_i - 1) R_i telescopes to
     M - 2^64 with M = prod m_i, the largest such x is M/2 - 1 and the
     smallest -M/2: the digits cover [-M/2, M/2) once, one integer per
     residue class mod M. With primes from _crt_primes_for, M exceeds twice
     the Hadamard bound, so the determinant lies in that range and its
     digits are the ones computed here. Each digit is
     v_j = (r_j - sum_(i<j) v_i R_i) * R_j^-1 mod p_j, centred, with only
-    inverses of constants. A determinant fits int64 exactly when its higher
-    digits are all 0, and then it is v_0; only the other lanes become
-    Python ints.
+    inverses of constants.
 
     Lane 0 and the first wide lane, if any, are recomputed with det_bareiss;
     a mismatch raises AssertionError.
@@ -471,6 +566,11 @@ def _exact_dets(mats: np.ndarray, primes: list[int]) -> tuple[np.ndarray, dict[i
     low = _dets_mod_p(mats, _WRAP)
     radices = [1, _WRAP]  # R_0, R_1, ...
     digits = []  # v_1, v_2, ...
+    if route == "float64":
+        f = _expand(mats, np.float64)
+        f -= low
+        f *= 2.0**-64
+        digits.append(np.rint(f, out=f).astype(np.int64))
     for p in primes:
         # |v_i| < 2^27 and R_i mod p < 2^28: the sum stays below 2^60
         known = low % p
@@ -514,7 +614,7 @@ def estimate_det_coprime(
         bound = "2^61 with symmetric entries" if symmetric_entries else "2^62"
         raise ValueError(f"entry_max must be in [2, {bound}], got {entry_max}")
     emax_abs = entry_max - 1
-    primes = _crt_primes_for(dim, emax_abs)
+    route, primes = _det_route(dim, emax_abs)
 
     def draw(stream, cnt):
         if symmetric_entries:
@@ -524,8 +624,8 @@ def estimate_det_coprime(
         return flat.reshape(cnt, dim, dim)
 
     def batch(stream, cnt):
-        d1, w1 = _exact_dets(draw(stream, cnt), primes)
-        d2, w2 = _exact_dets(draw(stream, cnt), primes)
+        d1, w1 = _exact_dets(draw(stream, cnt), primes, route)
+        d2, w2 = _exact_dets(draw(stream, cnt), primes, route)
         # np.gcd takes |x| in unsigned arithmetic, so a det of -2^63 is safe
         ok = np.gcd(d1, d2) == 1
         for l in w1.keys() | w2.keys():
@@ -543,5 +643,6 @@ def estimate_det_coprime(
             "entry_max": entry_max,
             "symmetric_entries": symmetric_entries,
             "crt_primes": len(primes),
+            "high_part": route,
         },
     )

@@ -442,7 +442,7 @@ RECORDS = {
     "mc det --dim 3 --entry-max 10 --trials 20000 --seed 5": [
         {"experiment": "det",
          "params": {"dim": 3, "entry_max": 10, "symmetric_entries": False, "crt_primes": 0,
-             "generator": "splitmix64", "batch_size": 65536, "trials": 20000,
+             "high_part": "none", "generator": "splitmix64", "batch_size": 65536, "trials": 20000,
              "successes": 7412},
          "value": 0.3706, "reference": 0.396940351456, "abs_gap": 0.0263403514564,
          "ci95": [0.363932009159, 0.377317689773], "seed": 5, "n": "10"},

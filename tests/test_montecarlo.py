@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprime_lab import constants, exact, montecarlo
@@ -26,6 +27,8 @@ from coprime_lab.montecarlo import (
     _DET_CHUNK,
     _exact_dets,
     _crt_primes_for,
+    _det_route,
+    _divisible_by_3,
 )
 
 # ---------------------------------------------------------------------------
@@ -203,9 +206,10 @@ def test_pair_reproducible_and_thread_invariant():
     assert 0 <= a.ci_low <= a.estimate <= a.ci_high <= 1
 
 
-@pytest.mark.parametrize("range_max", [1, 2, 3, 1000, 2**62])
+@pytest.mark.parametrize("range_max", [1, 2, 3, 1000, 2**31 - 1, 2**31, 2**62])
 def test_pair_count_is_scalar_gcd_count_over_the_same_draws(range_max):
-    # two batches; the estimator drops pairs with two even entries before its gcd
+    # two batches; the estimator drops pairs with a common factor 2 or 3
+    # before its gcd, in int32 lanes up to 2^31 - 1 and int64 above
     trials = BATCH_SIZE + 3000
     want = 0
     for b, cnt in enumerate((BATCH_SIZE, 3000)):
@@ -214,6 +218,32 @@ def test_pair_count_is_scalar_gcd_count_over_the_same_draws(range_max):
         k = s.uniform_below(range_max, cnt).tolist()
         want += sum(math.gcd(x + 1, y + 1) == 1 for x, y in zip(i, k))
     assert estimate_coprime_pair(range_max, trials, seed=17).successes == want
+
+
+@pytest.mark.parametrize("range_max", [1000, 2**31 - 1, 2**31, 2**62])
+def test_triple_count_is_scalar_gcd_count_over_the_same_draws(range_max):
+    # int32 gcd lanes up to 2^31 - 1, int64 above; the estimator drops triples
+    # with two entries even or two divisible by 3 before its gcds
+    trials = BATCH_SIZE + 3000
+    want = 0
+    for b, cnt in enumerate((BATCH_SIZE, 3000)):
+        s = RngStream(batch_seed(19, b))
+        a, c, d = (s.uniform_below(range_max, cnt).tolist() for _ in range(3))
+        want += sum(
+            math.gcd(x + 1, y + 1) == math.gcd(x + 1, z + 1) == math.gcd(y + 1, z + 1) == 1
+            for x, y, z in zip(a, c, d)
+        )
+    assert estimate_pairwise_triple(range_max, trials, seed=19).successes == want
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int32, np.int64, np.uint64])
+def test_divisible_by_3_is_exact_at_the_lane_edges(dtype):
+    top = np.iinfo(dtype).max
+    edges = (0, 1, 2, 3, 2**31 - 1, 2**32 - 3, 2**32 - 1, 2**62, 2**64 - 3, 2**64 - 1)
+    vals = [v for v in edges if v <= top]
+    vals += [top - 2, top - 1, top]
+    got = _divisible_by_3(np.array(vals, dtype=dtype)).tolist()
+    assert got == [v % 3 == 0 for v in vals]
 
 
 def test_pool_workers_bounded_by_batches_and_cpus(monkeypatch):
@@ -321,6 +351,22 @@ def test_gaussian_mask_near_the_coordinate_cap():
     assert not gaussian_coprime_mask(*(np.array(c, dtype=np.int64) for c in zip(*planted))).any()
 
 
+@pytest.mark.parametrize("box", [2**15 - 1, 2**15, 2**16])
+def test_gaussian_mask_at_the_int32_edge(box):
+    # int32 lanes while every |coordinate| < 2^15, int64 from 2^15 on; the
+    # terms reach 2 * box^2, next to 2^31 at the edge and past it at 2^16
+    rng = random.Random(box)
+    lanes = [(box, box, box, -box), (-box, box, 1, 0), (box, box - 1, box - 1, box)]
+    for _ in range(400):
+        lanes.append(tuple(rng.choice((-1, 1)) * (box - rng.randrange(64)) for _ in range(4)))
+        g = GaussianInt(*rng.choice(((1, 1), (2, 1), (3, 2))))
+        z = GaussianInt(rng.randrange(box // 5), rng.randrange(box // 5)) * g
+        w = GaussianInt(rng.randrange(box // 5), -rng.randrange(box // 5)) * g
+        lanes.append((z.re, z.im, w.re, w.im))
+    assert max(abs(v) for lane in lanes for v in lane) == box
+    _mask_agrees_with_scalar_gcd([lane for lane in lanes if any(lane)])
+
+
 def test_gaussian_units_always_coprime():
     units = [GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1)]
     rng = random.Random(6)
@@ -389,11 +435,11 @@ def test_bareiss_equals_cofactor_expansion():
         assert det_bareiss(m) == det_cofactor(m)
 
 
-def exact_dets_list(mats, primes):
+def exact_dets_list(mats, primes, route="crt"):
     """_exact_dets as one Python int per lane, after checking its output shape
     and that it left its input alone."""
     before = mats.copy()
-    low, wide = _exact_dets(mats, primes)
+    low, wide = _exact_dets(mats, primes, route)
     assert np.array_equal(mats, before)
     assert low.dtype == np.int64 and len(low) == len(mats)
     return [wide.get(i, int(v)) for i, v in enumerate(low)], wide
@@ -466,6 +512,10 @@ def edge_lanes(n, emax):
         rep[0, 0] = 0
         lanes.append(rep)  # repeated rows and a zero leading entry
     lanes.append(np.zeros((n, n), dtype=np.int64))  # zero columns
+    if n == 8 and 999 <= emax < 2**60:  # the float64 tier's edge (wider entries: next lanes)
+        lanes.append(np.diag([999] * 8))  # wide, with a float64 digit that is not 0
+        for sign in (-1, 1):
+            lanes.append(np.diag([512] * 7 + [sign]))  # det -2^63 fits int64, det 2^63 does not
     if emax >= 2**60 and n >= 2:
         for sign in (-1, 1):
             d = np.eye(n, dtype=np.int64)
@@ -485,6 +535,10 @@ def edge_lanes(n, emax):
     signed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=6, bits=10, signed=False, seed=1)  # the float64 route at dims 6 to 8
+@example(n=7, bits=11, signed=True, seed=2)
+@example(n=8, bits=10, signed=True, seed=3)
+@example(n=8, bits=11, signed=False, seed=4)
 def test_exact_dets_match_bareiss_property(n, bits, signed, seed):
     rng = np.random.default_rng(seed)
     emax = 2**bits - 1
@@ -496,7 +550,8 @@ def test_exact_dets_match_bareiss_property(n, bits, signed, seed):
         mats[3, n - 1] = mats[3, 0]  # repeated row
         mats[4, :, 1] = mats[4, :, 0]  # repeated column
     mats = np.concatenate([mats, np.array(edge_lanes(n, emax)).reshape(-1, n, n)])
-    got, wide = exact_dets_list(mats, _crt_primes_for(n, emax))
+    route, primes = _det_route(n, emax)
+    got, wide = exact_dets_list(mats, primes, route)
     for i, m in enumerate(mats):
         want = det_bareiss(m.tolist())
         assert got[i] == want, (i, m.tolist())
@@ -511,6 +566,43 @@ def test_exact_dets_int64_edge():
         dets, wide = exact_dets_list(np.array(edge_lanes(n, 2**62 - 1)), _crt_primes_for(n, 2**62 - 1))
         assert dets[-3:] == [-(2**63), 2**63, 2**64 * _CRT_PRIMES[0]]
         assert set(wide) == {len(dets) - 2, len(dets) - 1}
+
+
+def test_float_route_edge_lanes():
+    assert _det_route(8, 999) == ("float64", [])
+    dets, wide = exact_dets_list(np.array(edge_lanes(8, 999)[-3:]), [], "float64")
+    assert dets == [999**8, -(2**63), 2**63]
+    assert set(wide) == {0, 2}
+
+
+def largest_admitted(admits, top):
+    """The largest e in [1, top] with admits(e), admits being monotone and true at 1."""
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if admits(mid) else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_det_route_boundaries_are_the_exact_inequalities(n):
+    # 2^64 alone while 4 n^n e^(2n) < 2^128 (twice the Hadamard bound); then
+    # float64 while gamma_c n! e^n < 2^61 and e <= 2^53, in exact rationals
+    e0 = largest_admitted(lambda e: 4 * n**n * e ** (2 * n) < 2**128, 2**62)
+    assert _det_route(n, e0) == ("none", [])
+    if n == 1:
+        assert e0 == 2**62  # the sampler's widest entries
+        return
+    assert _det_route(n, e0 + 1)[0] != "none"
+    c = n * (n + 1) // 2 - 1
+    gamma = c * Fraction(1, 2**53) / (1 - c * Fraction(1, 2**53))
+    e1 = largest_admitted(lambda e: gamma * math.factorial(n) * e**n < 2**61, 2**53)
+    assert e1 > e0 + 1
+    assert _det_route(n, e0 + 1)[0] == _det_route(n, e1)[0] == "float64"
+    route, primes = _det_route(n, e1 + 1)
+    assert route == "crt" and primes == _crt_primes_for(n, e1 + 1) != []
+    if n == 8:
+        assert 3000 < e1 < 3500  # the float64 route's reach at dim 8
 
 
 def test_exact_dets_across_lane_blocks():
