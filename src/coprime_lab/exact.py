@@ -17,7 +17,7 @@ import numpy as np
 
 from . import constants
 from .errors import ResourceLimitError
-from .sieve import primes_up_to, shared_tables
+from .sieve import prefix_limit, primes_up_to, shared_tables, summatory_prefixes
 
 #: Largest n accepted by the brute-force pairwise-triple counter.
 TRIPLE_BRUTE_BOUND = 2000
@@ -71,51 +71,58 @@ def _base_size(n: int) -> int:
 
 
 def _table_size(n: int) -> int:
-    """Base table size the public routes use: all of n when n is small."""
-    return min(n, max(_SMALL_TABLE, _base_size(n)))
+    """Base table size the public routes use: all of n when n is small, else
+    about n^(2/3) or the longest prefix the process has already summed,
+    whichever is larger (a cold process has none, so its route is fixed)."""
+    cold = min(n, max(_SMALL_TABLE, _base_size(n)))
+    return min(n, max(cold, prefix_limit(cold)))
 
 
 def _quotient_values(n: int, L: int, prefix: np.ndarray, G) -> np.ndarray:
     """big[k] = F(n // k) mod 2^64 for k = 1..n // (L + 1); big[0] is unused.
 
     F satisfies F(m) = G(m) - sum of F(m // d) over d = 2..m, and prefix is
-    the uint64 table of F(m) mod 2^64 for m = 0..L, with L >= isqrt(n)
-    (Deleglise & Rivat, Experimental Mathematics 5, 1996). Points above L
-    are filled from the smallest (k = K) up. With s = isqrt(m), each d <= s reads
-    m // d = n // (k*d) from big[k*d] while k*d <= K and from prefix
-    otherwise; the d > s share q = m // d <= m // (s + 1) in runs of
-    m // q - m // (q + 1). uint64 wraps mod 2^64 and the recurrence is
-    integer-linear, so the residues are exact at any n.
+    a table of F(m) for m = 0..L at least, with L >= isqrt(n), as uint64
+    residues or exact int32 values (Deleglise & Rivat, Experimental
+    Mathematics 5, 1996). Points above L are filled from the smallest
+    (k = K) up. With s = isqrt(m), each d <= s reads m // d = n // (k*d)
+    from big[k*d] while k*d <= K and from prefix otherwise; the d > s share
+    q = m // d <= m // (s + 1) in runs of m // q - m // (q + 1). uint64
+    wraps mod 2^64 and the recurrence is integer-linear, so the residues
+    are exact at any n. An int32 prefix sums exactly in int64 (at most
+    sqrt(n) values of size at most L < 2^31), and its head up to isqrt(n) + 1
+    is cast to uint64 residues once for the dots (a uint64-int32 dot would
+    run in float64).
     """
     K = n // (L + 1)
     big = np.zeros(K + 1, dtype=np.uint64)
     ar = np.arange(isqrt(n) + 3, dtype=np.int64)
+    head = prefix[: isqrt(n) + 2].astype(np.uint64, copy=False)
     for k in range(K, 0, -1):
         m = n // k
         s = isqrt(m)
         t = min(s, K // k)
         quo = m // ar[1 : m // (s + 1) + 2]  # m // q for q = 1..Q+1
-        runs = (quo[:-1] - quo[1:]).astype(np.uint64)
+        runs = (quo[:-1] - quo[1:]).view(np.uint64)
         total = (
             G(m)
             - int(big[k * ar[2 : t + 1]].sum())
             - int(prefix[m // ar[t + 1 : s + 1]].sum())
-            - int(np.dot(runs, prefix[1 : len(quo)]))
+            - int(np.dot(runs, head[1 : len(quo)]))
         )
         big[k] = total % _MOD
     return big
 
 
 def _totient_at(n: int, L: int) -> int:
-    """Phi(n) from a base table of size L (L = n sums the table directly).
+    """Phi(n) from a base table of size L (L = n reads the prefix directly).
 
     Phi(m) = m(m+1)/2 - sum of Phi(m // d) over d >= 2. Its residue mod 2^64
     is lifted to the integer nearest 3n^2/pi^2, which is exact because
     |Phi(n) - 3n^2/pi^2| <= 2n(ln n + 2) lies far inside 2^63 for every n a
     base table under the sieve cap can reach.
     """
-    phi = shared_tables(L).phi[: L + 1]
-    prefix = np.cumsum(phi, dtype=np.int64).view(np.uint64)  # Phi(L) < 2^63
+    prefix = summatory_prefixes(L)[0].view(np.uint64)
     if n <= L:
         return int(prefix[n])
     big = _quotient_values(n, L, prefix, lambda m: m * (m + 1) // 2)
@@ -124,20 +131,20 @@ def _totient_at(n: int, L: int) -> int:
 
 
 def _mertens_at_quotients(n: int, L: int):
-    """(mu up to L, mertens) with mertens(i) = M(n // i) for int64 arrays i >= 1.
+    """mertens with mertens(i) = M(n // i) for int64 arrays i >= 1, from a
+    base table of size L.
 
     M is the Mertens function, M(m) = 1 - sum of M(m // d) over d >= 2;
     |M(m)| <= m < 2^63, so its uint64 residues read as int64 are exact.
     """
-    mu = shared_tables(L).mu[: L + 1]
-    prefix = np.cumsum(mu, dtype=np.int64)
-    big = _quotient_values(n, L, prefix.view(np.uint64), lambda m: 1).view(np.int64)
+    prefix = summatory_prefixes(L)[1]
+    big = _quotient_values(n, L, prefix, lambda m: 1).view(np.int64)
     K = len(big) - 1
 
     def mertens(i: np.ndarray) -> np.ndarray:
         return np.where(i <= K, big[np.minimum(i, K)], prefix[np.minimum(n // i, L)])
 
-    return mu, mertens
+    return mertens
 
 
 def _odd_mertens(mertens, n: int, i: np.ndarray) -> np.ndarray:
@@ -160,20 +167,39 @@ def _mobius_sum(n: int, g, odd: bool = False) -> int:
     With s = isqrt(n), d <= s is summed term by term; every d > s has
     q = n // d <= n // (s + 1), and the d sharing q weigh
     W(n // q) - W(n // (q + 1)) with W = M (or M_odd) at quotient points, so
-    no table up to n is built. Products are Python ints, so g may pass int64.
+    no table up to n is built. That leaves N < 2 sqrt(n) terms a * g(q).
+
+    g maps an array of q >= 1 to g(q) lane by lane, on int64, float64 or
+    Python-int object lanes, is nondecreasing, and is a power e <= 10 taken
+    by _power (within e - 1 roundings in float64). The terms are one int64
+    dot when the float64 dot B of |a| and g(q) is at most 2^61: every
+    operand is exact (|a| and q <= n < 2^53, as n^(2/3) is within the
+    sieve cap), and B takes at most N + 9 roundings of relative size
+    u = 2^-53 per term (g's multiplies, each product, the sum in any order;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+    so the true sum of |a| g(q) is at most B / (1 - (N + 9) u) < 2^62. That
+    bounds every partial sum of the int64 dot, and every g(q) <= g(n), the
+    d = 1 term with weight 1, so no lane wraps. Otherwise the dot runs over
+    Python ints.
     """
     s = isqrt(n)
-    mu, mertens = _mertens_at_quotients(n, _table_size(n))
-    w = mu[1 : s + 1].astype(np.int64)
+    mertens = _mertens_at_quotients(n, _table_size(n))
+    w = shared_tables(s).mu[1 : s + 1].astype(np.int64)
     i = np.arange(1, n // (s + 1) + 2, dtype=np.int64)
     if odd:
         w[1::2] = 0
         W = _odd_mertens(mertens, n, i)
     else:
         W = mertens(i)
-    weights = np.concatenate([w, W[:-1] - W[1:]]).tolist()
-    args = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]]).tolist()
-    return sum(a * g(q) for a, q in zip(weights, args) if a)
+    a = np.concatenate([w, W[:-1] - W[1:]])
+    q = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]])
+    keep = np.flatnonzero(a)
+    a, q = a[keep], q[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.dot(np.abs(a).astype(np.float64), g(q.astype(np.float64)))
+    if bound <= 2.0**61:
+        return int(np.dot(a, g(q)))
+    return int(np.dot(a.astype(object), g(q.astype(object))))
 
 
 def totient_sum(n: int) -> int:
@@ -197,7 +223,7 @@ def coprime_ordered_count_mobius(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _mobius_sum(n, lambda q: q * q)
+    return _mobius_sum(n, lambda q: _power(q, 2))
 
 
 def _pair_numerator(n: int) -> int:
@@ -244,7 +270,7 @@ def ktuple_coprime_count(n: int, k: int) -> DensityResult:
     ref = constants.reference_constant("ktuple", k=k).value
     if n == 1:
         return _result("ktuple", n, 1, 1, ref)
-    num = _mobius_sum(n, lambda q: q**k)
+    num = _mobius_sum(n, lambda q: _power(q, k))
     return _result("ktuple", n, num, n**k, ref)
 
 
@@ -278,7 +304,7 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     ref = constants.reference_constant("odd_pair").value
-    ordered = _mobius_sum(n, lambda q: ((q + 1) // 2) ** 2, odd=True)
+    ordered = _mobius_sum(n, lambda q: _power((q + 1) // 2, 2), odd=True)
     m = (n + 1) // 2
     return _result("odd_pair", n, (ordered - 1) // 2, m * (m - 1) // 2, ref)
 

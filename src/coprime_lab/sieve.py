@@ -2,8 +2,9 @@
 
 Everything downstream that counts exactly, and every prime the package
 reads, comes from one immutable :class:`SieveTables` held by
-:func:`shared_tables`. Vectorised numpy passes over the primes up to sqrt(N)
-build it in a few seconds for N = 1e7..1e8.
+:func:`shared_tables`, and the summatory recurrences start from its prefix
+sums, held by :func:`summatory_prefixes`. Vectorised numpy passes over the
+primes up to sqrt(N) build it in a few seconds for N = 1e7..1e8.
 """
 
 from __future__ import annotations
@@ -100,7 +101,23 @@ def configured_limit() -> int:
 _MIN_TABLE = 1024
 
 _shared: SieveTables | None = None
-_shared_lock = threading.Lock()
+#: (Phi, M) with Phi(m) = phi(1) + ... + phi(m) as int64 and the Mertens
+#: function M(m) = mu(1) + ... + mu(m) as int32, for m = 0..limit.
+_prefixes: tuple[np.ndarray, np.ndarray] | None = None
+#: Guards _shared and _prefixes; reentrant, as summatory_prefixes grows the
+#: table through shared_tables while it holds the lock.
+_shared_lock = threading.RLock()
+
+
+def _cap(min_limit: int) -> int:
+    """The configured cap, never below _MIN_TABLE; refuses a min_limit above it."""
+    cap = max(configured_limit(), _MIN_TABLE)
+    if min_limit > cap:
+        raise ResourceLimitError(
+            f"operation needs sieve tables up to {min_limit}, above the configured "
+            f"limit {cap}; raise {SIEVE_LIMIT_ENV} to allow it"
+        )
+    return cap
 
 
 def shared_tables(min_limit: int) -> SieveTables:
@@ -113,17 +130,51 @@ def shared_tables(min_limit: int) -> SieveTables:
 
     The cache holds one table: growth replaces it rather than adding to it,
     so its size is bounded by :func:`configured_limit`, 5 bytes per index
-    (int8 mu plus int32 phi), about 50 MB at the default cap of 1e7.
+    (int8 mu plus int32 phi), about 50 MB at the default cap of 1e7. The
+    prefix sums of :func:`summatory_prefixes` add 12 bytes per index of the
+    longest base summed, which is at most the table's limit.
     """
     global _shared
-    cap = max(configured_limit(), _MIN_TABLE)
-    if min_limit > cap:
-        raise ResourceLimitError(
-            f"operation needs sieve tables up to {min_limit}, above the configured "
-            f"limit {cap}; raise {SIEVE_LIMIT_ENV} to allow it"
-        )
+    cap = _cap(min_limit)
     with _shared_lock:
         if _shared is None or _shared.limit < min_limit:
             grown = 2 * _shared.limit if _shared is not None else 0
             _shared = build_sieve(min(max(min_limit, grown, _MIN_TABLE), cap))
         return _shared
+
+
+def prefix_limit(min_limit: int) -> int:
+    """The largest m the cached prefix sums cover, 0 before any are summed.
+
+    Refuses, as shared_tables does, a min_limit above the configured cap, so
+    a caller that would need a table that large is refused whatever the
+    cache holds.
+    """
+    _cap(min_limit)
+    with _shared_lock:
+        return len(_prefixes[0]) - 1 if _prefixes is not None else 0
+
+
+def summatory_prefixes(min_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Process-wide (Phi, M) over m = 0..limit with limit >= min_limit.
+
+    Phi(m) = sum of phi(k) and M(m) = sum of mu(k) over k <= m, read-only
+    int64 and int32 arrays: Phi(m) <= m(m + 1)/2 < 2^63 and |M(m)| <= m <
+    2^31 for every m <= MAX_SIEVE_LIMIT. Summed once from the shared table
+    and kept when the table is replaced, as a prefix does not depend on the
+    table that produced it. Like the table they grow geometrically, to
+    twice the last limit, but never past the table already built.
+    Thread-safe.
+    """
+    global _prefixes
+    with _shared_lock:
+        if _prefixes is None or len(_prefixes[0]) <= min_limit:
+            tables = shared_tables(min_limit)
+            grown = 2 * (len(_prefixes[0]) - 1) if _prefixes is not None else 0
+            top = min(max(min_limit, grown), tables.limit)
+            phi_sum = np.cumsum(tables.phi[: top + 1], dtype=np.int64)
+            mu_sum = np.cumsum(tables.mu[: top + 1], dtype=np.int32)
+            for arr in (phi_sum, mu_sum):
+                arr.flags.writeable = False
+            _prefixes = (phi_sum, mu_sum)
+        return _prefixes

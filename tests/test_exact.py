@@ -84,7 +84,7 @@ M_ODD_3000 = np.cumsum(np.where(np.arange(3001) % 2 == 1, TABLES_3000.mu, 0), dt
 
 
 def mertens(n):
-    _, mert = exact._mertens_at_quotients(n, exact._table_size(n))
+    mert = exact._mertens_at_quotients(n, exact._table_size(n))
     return int(mert(np.array([1]))[0])
 
 
@@ -97,7 +97,7 @@ def test_quotient_recurrence_matches_brute_force(data, n):
     ks = np.arange(1, n // (base + 1) + 1)
     assert big[1:].tolist() == PHI_3000[n // ks].tolist()
     assert exact._totient_at(n, base) == PHI_3000[n]
-    _, mert = exact._mertens_at_quotients(n, base)
+    mert = exact._mertens_at_quotients(n, base)
     i = np.arange(1, n + 2)  # every quotient point of n, and 0 at i = n + 1
     assert mert(i).tolist() == M_3000[n // i].tolist()
     assert exact._odd_mertens(mert, n, i).tolist() == M_ODD_3000[n // i].tolist()
@@ -133,6 +133,70 @@ def test_pair_crosscheck_runs_past_the_table_cap(monkeypatch):
     monkeypatch.setattr(exact, "coprime_ordered_count_mobius", lambda n: 0)
     with pytest.raises(AssertionError, match="cross-check failed"):
         coprime_pair_count(2 * 10**7)
+
+
+def test_answers_do_not_depend_on_cached_prefixes(monkeypatch):
+    ns = [10**k for k in range(1, 10)] + list(PHI_PAST_INT64)
+
+    def answers(reset):
+        out = []
+        for n in ns:
+            if reset:
+                monkeypatch.setattr(sieve, "_prefixes", None)
+            out.append((totient_sum(n), mertens(n) if n <= 10**9 else None))
+        return out
+
+    cold = answers(reset=True)
+    monkeypatch.setattr(sieve, "_prefixes", None)
+    totient_sum(10**9)
+    assert sieve.prefix_limit(0) == 10**6
+    warm = answers(reset=False)
+    assert cold == warm
+    assert [phi for phi, _ in cold] == PHI_POW10 + list(PHI_PAST_INT64.values())
+    assert [m for _, m in cold[:9]] == MERTENS_POW10
+
+
+def mobius_sum_per_term(n, g, odd=False):
+    """(sum of a * g(q), sum of |a| * g(q)) over the terms of _mobius_sum,
+    one Python int at a time: the reference for its int64 and Python-int dots."""
+    s = math.isqrt(n)
+    mert = exact._mertens_at_quotients(n, exact._table_size(n))
+    w = sieve.shared_tables(s).mu[1 : s + 1].astype(np.int64)
+    i = np.arange(1, n // (s + 1) + 2, dtype=np.int64)
+    if odd:
+        w[1::2] = 0
+        W = exact._odd_mertens(mert, n, i)
+    else:
+        W = mert(i)
+    weights = np.concatenate([w, W[:-1] - W[1:]]).tolist()
+    args = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]]).tolist()
+    terms = [(a, g(q)) for a, q in zip(weights, args) if a]
+    return sum(a * v for a, v in terms), sum(abs(a) * v for a, v in terms)
+
+
+@pytest.mark.parametrize(
+    "n, e, odd, below",
+    [
+        (1_249_656, 3, False, True),  # the last n whose k = 3 terms bound below 2^61
+        (1_249_657, 3, False, False),
+        (100, 10, False, False),
+        (6 * 10**9, 2, False, False),  # pairs past 2^30.2
+        (10**7, 2, True, True),
+    ],
+)
+def test_mobius_sum_matches_per_term_sum(n, e, odd, below):
+    # the sum is one int64 dot while sum |a| g(q) <= 2^61 (with the float
+    # bound's margin far inside the gap to these n) and Python ints above
+    expect, size = mobius_sum_per_term(n, lambda q: ((q + 1) // 2 if odd else q) ** e, odd)
+    assert (size <= 2**61) == below
+    got = exact._mobius_sum(n, lambda q: exact._power((q + 1) // 2 if odd else q, e), odd)
+    assert got == expect
+    if odd:
+        assert odd_coprime_pair_count(n).numerator == (expect - 1) // 2
+    elif e == 2:
+        assert coprime_ordered_count_mobius(n) == expect
+    else:
+        assert ktuple_coprime_count(n, e).numerator == expect
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +371,27 @@ def test_mobius_block_sums_match_per_d_sums(n, k):
     if n >= 3:
         odd = per_d_sum(MU_3000, n, lambda q: ((q + 1) // 2) ** 2, step=2)
         assert odd_coprime_pair_count(n).numerator == (odd - 1) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3000))
+def test_answers_do_not_depend_on_the_route(data, n):
+    warm_up = data.draw(st.lists(st.integers(1, 3000), max_size=3), label="warm-up")
+    t, k = data.draw(st.integers(1, 6), label="t"), data.draw(st.integers(2, 10), label="k")
+    with pytest.MonkeyPatch.context() as mp:
+        # every n runs the recurrence from a base of about n^(2/3) or the
+        # longest prefix the warm-up left, as large n do
+        mp.setattr(exact, "_SMALL_TABLE", 1)
+        mp.setattr(sieve, "_prefixes", None)
+        for m in warm_up:
+            totient_sum(m)
+        assert coprime_pair_count(n).numerator == PHI_3000[n] - 1
+        assert gcd_equal_count(n, t).numerator == max(PHI_3000[n // t] - 1, 0)
+        assert ktuple_coprime_count(n, k).numerator == per_d_sum(MU_3000, n, lambda q: q**k)
+        assert mertens(n) == M_3000[n]
+        if n >= 3:
+            odd = per_d_sum(MU_3000, n, lambda q: ((q + 1) // 2) ** 2, step=2)
+            assert odd_coprime_pair_count(n).numerator == (odd - 1) // 2
 
 
 def test_ktuple_errors():

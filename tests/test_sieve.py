@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from coprime_lab import sieve
 from coprime_lab.errors import ResourceLimitError
+from coprime_lab.exact import coprime_pair_count, ktuple_coprime_count
 from coprime_lab.sieve import (
     MAX_SIEVE_LIMIT,
     SieveTables,
@@ -201,6 +203,30 @@ def test_primes_up_to():
         primes_up_to(MAX_SIEVE_LIMIT + 1)
 
 
+def run_in_two_threads(work):
+    """[work(0), work(1)], each in its own thread, released together by a
+    barrier, with a short switch interval so the threads interleave often."""
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = work(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
 def test_shared_tables_built_once_by_two_threads(monkeypatch):
     calls = []
 
@@ -211,18 +237,41 @@ def test_shared_tables_built_once_by_two_threads(monkeypatch):
 
     monkeypatch.setattr(sieve, "build_sieve", counting_build)
     monkeypatch.setattr(sieve, "_shared", None)
-    barrier = threading.Barrier(2)
-    results = [None, None]
-
-    def worker(i):
-        barrier.wait(timeout=10)
-        results[i] = sieve.shared_tables(5000)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert not any(t.is_alive() for t in threads)
+    results = run_in_two_threads(lambda i: sieve.shared_tables(5000))
     assert len(calls) == 1
     assert results[0] is results[1] and results[0].limit >= 5000
+
+
+def test_prefix_cache_grown_by_two_threads(monkeypatch):
+    # bases 10^4, 46,416, 96,549 and 215,443: each query grows the cache
+    queries = [(coprime_pair_count, (10**6,)), (ktuple_coprime_count, (10**7, 3)),
+               (ktuple_coprime_count, (3 * 10**7, 3)), (coprime_pair_count, (10**8,))]
+    serial = [f(*args).numerator for f, args in queries]
+    real_tables, growths = sieve.shared_tables, []
+
+    def slow_small_tables(min_limit):
+        # summatory_prefixes reads the table through here only to grow the
+        # cache. A small growth is held open while the other thread grows it
+        # to 215,443, so an unguarded one would land last and shrink it.
+        growths.append(min_limit)
+        tables = real_tables(min_limit)
+        if min_limit < 10**5:
+            time.sleep(0.05)
+        return tables
+
+    monkeypatch.setattr(sieve, "_shared", None)
+    monkeypatch.setattr(sieve, "_prefixes", None)
+    monkeypatch.setattr(sieve, "shared_tables", slow_small_tables)
+    def work(i):
+        # thread 0 grows the cache query by query; thread 1 starts at the
+        # top once thread 0's first, small growth is under way
+        if i:
+            time.sleep(0.01)
+        return [f(*args).numerator for f, args in (queries if i == 0 else queries[::-1])]
+
+    results = run_in_two_threads(work)
+    assert results == [serial, serial[::-1]]
+    # under the lock a growth starts only past the prefix it finds and
+    # leaves one at least as long as it asked for, so the requests rise
+    # strictly; a shrunk cache would be grown again to a limit it once had
+    assert growths == sorted(set(growths)) and sieve.prefix_limit(0) >= 215_443
