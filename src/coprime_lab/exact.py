@@ -17,7 +17,7 @@ import numpy as np
 
 from . import constants
 from .errors import ResourceLimitError
-from .sieve import prefix_limit, primes_up_to, shared_tables, summatory_prefixes
+from .sieve import primes_up_to, shared_tables, summatory_prefixes
 
 #: Largest n accepted by the brute-force pairwise-triple counter.
 TRIPLE_BRUTE_BOUND = 2000
@@ -73,9 +73,10 @@ def _base_size(n: int) -> int:
 def _table_size(n: int) -> int:
     """Base table size the public routes use: all of n when n is small, else
     about n^(2/3) or the longest prefix the process has already summed,
-    whichever is larger (a cold process has none, so its route is fixed)."""
+    whichever is larger (a cold process sums exactly n^(2/3), so its route
+    is fixed)."""
     cold = min(n, max(_SMALL_TABLE, _base_size(n)))
-    return min(n, max(cold, prefix_limit(cold)))
+    return min(n, len(summatory_prefixes(cold)[0]) - 1)
 
 
 def _quotient_values(n: int, L: int, prefix: np.ndarray, G) -> np.ndarray:

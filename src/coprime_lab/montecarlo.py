@@ -388,19 +388,8 @@ _CRT_PRIMES = (
     268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
 )
 
-#: Minors times lanes in the widest level of one pass of the minor
-#: expansion: 20 minors x 2^14 lanes at dim 6, 2.5 MB at 8 bytes, about
-#: the L2 size.
-_DET_BLOCK_ENTRIES = 20 << 14
-
-
-def _det_block(n: int) -> int:
-    """Lanes per pass of the minor expansion at dim n, so a pass's minors
-    stay in cache: the largest power of two up to 2^14 whose widest level,
-    comb(n, n // 2) minors, holds at most _DET_BLOCK_ENTRIES entries
-    (2^14 lanes up to dim 6, 2^13 at dim 7, 2^12 at dim 8)."""
-    fit = _DET_BLOCK_ENTRIES // math.comb(n, n // 2)
-    return 1 << min(14, fit.bit_length() - 1)
+#: Lanes per pass of the minor expansion, so a pass's minors stay in cache.
+_DET_CHUNK = 1 << 14
 
 
 def _crt_primes_for(dim: int, entry_max_abs: int) -> list[int]:
@@ -471,16 +460,15 @@ def _expand(mats: np.ndarray, dtype, reduce=None) -> np.ndarray:
 
     It runs from the bottom row up: 2^n - 1 minors and n * 2^(n-1)
     multiplies per lane, with no pivot and no inverse. Lanes go in blocks of
-    _det_block(n), each cast to dtype and transposed to (n, n, lanes), so each
+    _DET_CHUNK, each cast to dtype and transposed to (n, n, lanes), so each
     entry and minor is a contiguous vector. reduce(x), if given, acts in
     place on the entries and on each level of minors. Returns one
     determinant per lane, in dtype.
     """
     lanes, n, _ = mats.shape
     out = np.empty(lanes, dtype=dtype)
-    block = _det_block(n)
-    for lo in range(0, lanes, block):
-        a = mats[lo : lo + block].transpose(1, 2, 0).astype(dtype, order="C")
+    for lo in range(0, lanes, _DET_CHUNK):
+        a = mats[lo : lo + _DET_CHUNK].transpose(1, 2, 0).astype(dtype, order="C")
         if reduce is not None:
             reduce(a)
         minors = a[n - 1]
@@ -499,7 +487,7 @@ def _expand(mats: np.ndarray, dtype, reduce=None) -> np.ndarray:
             if reduce is not None:
                 reduce(nxt)
             minors = nxt
-        out[lo : lo + block] = minors[0]
+        out[lo : lo + _DET_CHUNK] = minors[0]
     return out
 
 

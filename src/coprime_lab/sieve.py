@@ -143,18 +143,6 @@ def shared_tables(min_limit: int) -> SieveTables:
         return _shared
 
 
-def prefix_limit(min_limit: int) -> int:
-    """The largest m the cached prefix sums cover, 0 before any are summed.
-
-    Refuses, as shared_tables does, a min_limit above the configured cap, so
-    a caller that would need a table that large is refused whatever the
-    cache holds.
-    """
-    _cap(min_limit)
-    with _shared_lock:
-        return len(_prefixes[0]) - 1 if _prefixes is not None else 0
-
-
 def summatory_prefixes(min_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Process-wide (Phi, M) over m = 0..limit with limit >= min_limit.
 
@@ -162,18 +150,17 @@ def summatory_prefixes(min_limit: int) -> tuple[np.ndarray, np.ndarray]:
     int64 and int32 arrays: Phi(m) <= m(m + 1)/2 < 2^63 and |M(m)| <= m <
     2^31 for every m <= MAX_SIEVE_LIMIT. Summed once from the shared table
     and kept when the table is replaced, as a prefix does not depend on the
-    table that produced it. Like the table they grow geometrically, to
-    twice the last limit, but never past the table already built.
-    Thread-safe.
+    table that produced it. A growth sums exactly up to min_limit. Refuses,
+    as shared_tables does, a min_limit above the configured cap, whatever
+    the cache holds. Thread-safe.
     """
     global _prefixes
+    _cap(min_limit)
     with _shared_lock:
         if _prefixes is None or len(_prefixes[0]) <= min_limit:
             tables = shared_tables(min_limit)
-            grown = 2 * (len(_prefixes[0]) - 1) if _prefixes is not None else 0
-            top = min(max(min_limit, grown), tables.limit)
-            phi_sum = np.cumsum(tables.phi[: top + 1], dtype=np.int64)
-            mu_sum = np.cumsum(tables.mu[: top + 1], dtype=np.int32)
+            phi_sum = np.cumsum(tables.phi[: min_limit + 1], dtype=np.int64)
+            mu_sum = np.cumsum(tables.mu[: min_limit + 1], dtype=np.int32)
             for arr in (phi_sum, mu_sum):
                 arr.flags.writeable = False
             _prefixes = (phi_sum, mu_sum)

@@ -24,9 +24,9 @@ from coprime_lab.montecarlo import (
     mix64,
     wilson_interval,
     _CRT_PRIMES,
+    _DET_CHUNK,
     _exact_dets,
     _crt_primes_for,
-    _det_block,
     _det_route,
     _divisible_by_3,
 )
@@ -606,35 +606,13 @@ def test_det_route_boundaries_are_the_exact_inequalities(n):
 
 
 def test_exact_dets_across_lane_blocks():
-    # the kernel runs in blocks of _det_block(n) lanes; lanes on either side
-    # of each block edge must come out right
+    # the kernel runs in blocks of _DET_CHUNK lanes; lanes on either side of
+    # each block edge must come out right
     rng = np.random.default_rng(5)
-    block = _det_block(4)
-    mats = rng.integers(-1000, 1000, size=(2 * block + 3, 4, 4), dtype=np.int64)
+    mats = rng.integers(-1000, 1000, size=(2 * _DET_CHUNK + 3, 4, 4), dtype=np.int64)
     got, _ = exact_dets_list(mats, _crt_primes_for(4, 1000))
-    for i in (0, block - 1, block, 2 * block, len(mats) - 1):
+    for i in (0, _DET_CHUNK - 1, _DET_CHUNK, 2 * _DET_CHUNK, len(mats) - 1):
         assert got[i] == det_bareiss(mats[i].tolist()), i
-
-
-def test_det_block_sizes_from_the_widest_level():
-    assert [_det_block(n) for n in range(1, 9)] == [1 << 14] * 6 + [1 << 13, 1 << 12]
-
-
-@pytest.mark.parametrize("n", [3, 7, 8])
-def test_dets_identical_at_every_block_size(n, monkeypatch):
-    # lanes are independent, so the block size moves no determinant on any
-    # pass: mod 2^64, mod a CRT prime and in float64
-    rng = np.random.default_rng(n)
-    mats = rng.integers(-999, 1000, size=(700, n, n), dtype=np.int64)
-    passes = [lambda: montecarlo._dets_mod_p(mats, 1 << 64),
-              lambda: montecarlo._dets_mod_p(mats, _CRT_PRIMES[0]),
-              lambda: montecarlo._expand(mats, np.float64)]
-    expected = [run() for run in passes]
-    for block in (1, 3, 64, 256, 699, 1 << 14):
-        monkeypatch.setattr(montecarlo, "_det_block", lambda n: block)
-        for run, want in zip(passes, expected):
-            got = run()
-            assert got.dtype == want.dtype and np.array_equal(got, want), block
 
 
 def test_exact_dets_cross_check_raises_on_mismatch(monkeypatch):

@@ -274,4 +274,4 @@ def test_prefix_cache_grown_by_two_threads(monkeypatch):
     # under the lock a growth starts only past the prefix it finds and
     # leaves one at least as long as it asked for, so the requests rise
     # strictly; a shrunk cache would be grown again to a limit it once had
-    assert growths == sorted(set(growths)) and sieve.prefix_limit(0) >= 215_443
+    assert growths == sorted(set(growths)) and len(sieve._prefixes[0]) - 1 == 215_443
