@@ -1,10 +1,11 @@
 """Exact finite-range coprimality counts.
 
 Every operation returns a :class:`DensityResult` whose numerator and
-denominator are exact integers (Python ints never wrap, int64 sums stay in
-proven bounds, summatory recurrences run in uint64 residues lifted to exact
-integers, and fgcd floors are float estimates proven lane by lane or redone
-in integers). The float ``value`` is the correctly rounded quotient.
+denominator are exact integers (Python ints never wrap, a count below
+2^64 is its wrapping uint64 residue, int64 sums stay in proven bounds,
+summatory recurrences run in uint64 residues lifted to exact integers,
+and fgcd floors are float estimates proven lane by lane or redone in
+integers). The float ``value`` is the correctly rounded quotient.
 """
 
 from __future__ import annotations
@@ -162,45 +163,36 @@ def _odd_mertens(mertens, n: int, i: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mobius_sum(n: int, g, odd: bool = False) -> int:
-    """sum of mu(d) * g(n // d) over d = 1..n (odd d only if odd), exactly.
+def _mobius_sum(n: int, k: int, odd: bool = False) -> int:
+    """sum of mu(d) * g(n // d) over d = 1..n (odd d only if odd), exactly,
+    with g(q) = q^k, or ((q + 1) // 2)^2 for odd pairs (odd with k = 2).
 
     With s = isqrt(n), d <= s is summed term by term; every d > s has
     q = n // d <= n // (s + 1), and the d sharing q weigh
     W(n // q) - W(n // (q + 1)) with W = M (or M_odd) at quotient points, so
-    no table up to n is built. That leaves N < 2 sqrt(n) terms a * g(q).
+    no table up to n is built. That leaves fewer than 2 sqrt(n) terms.
 
-    g maps an array of q >= 1 to g(q) lane by lane, on int64, float64 or
-    Python-int object lanes, is nondecreasing, and is a power e <= 10 taken
-    by _power (within e - 1 roundings in float64). The terms are one int64
-    dot when the float64 dot B of |a| and g(q) is at most 2^61: every
-    operand is exact (|a| and q <= n < 2^53, as n^(2/3) is within the
-    sieve cap), and B takes at most N + 9 roundings of relative size
-    u = 2^-53 per term (g's multiplies, each product, the sum in any order;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
-    so the true sum of |a| g(q) is at most B / (1 - (N + 9) u) < 2^62. That
-    bounds every partial sum of the int64 dot, and every g(q) <= g(n), the
-    d = 1 term with weight 1, so no lane wraps. Otherwise the dot runs over
-    Python ints.
+    The sum counts k-tuples (or odd pairs) in [1, n]^k, so it lies in
+    [0, n^k]; when n^k < 2^64 it equals its residue mod 2^64, the terms'
+    wrapping uint64 dot. Otherwise the dot runs over Python ints.
     """
     s = isqrt(n)
     mertens = _mertens_at_quotients(n, _table_size(n))
     w = shared_tables(s).mu[1 : s + 1].astype(np.int64)
     i = np.arange(1, n // (s + 1) + 2, dtype=np.int64)
+    q = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]])
     if odd:
         w[1::2] = 0
         W = _odd_mertens(mertens, n, i)
+        q = (q + 1) // 2
     else:
         W = mertens(i)
     a = np.concatenate([w, W[:-1] - W[1:]])
-    q = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]])
     keep = np.flatnonzero(a)
     a, q = a[keep], q[keep]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.dot(np.abs(a).astype(np.float64), g(q.astype(np.float64)))
-    if bound <= 2.0**61:
-        return int(np.dot(a, g(q)))
-    return int(np.dot(a.astype(object), g(q.astype(object))))
+    if n**k < _MOD:
+        return int(np.dot(a.view(np.uint64), _power(q.view(np.uint64), k)))
+    return int(np.dot(a.astype(object), _power(q.astype(object), k)))
 
 
 def totient_sum(n: int) -> int:
@@ -224,7 +216,7 @@ def coprime_ordered_count_mobius(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _mobius_sum(n, lambda q: _power(q, 2))
+    return _mobius_sum(n, 2)
 
 
 def _pair_numerator(n: int) -> int:
@@ -271,7 +263,7 @@ def ktuple_coprime_count(n: int, k: int) -> DensityResult:
     ref = constants.reference_constant("ktuple", k=k).value
     if n == 1:
         return _result("ktuple", n, 1, 1, ref)
-    num = _mobius_sum(n, lambda q: _power(q, k))
+    num = _mobius_sum(n, k)
     return _result("ktuple", n, num, n**k, ref)
 
 
@@ -305,7 +297,7 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     ref = constants.reference_constant("odd_pair").value
-    ordered = _mobius_sum(n, lambda q: _power((q + 1) // 2, 2), odd=True)
+    ordered = _mobius_sum(n, 2, odd=True)
     m = (n + 1) // 2
     return _result("odd_pair", n, (ordered - 1) // 2, m * (m - 1) // 2, ref)
 
@@ -313,9 +305,10 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
 def kfree_count(n: int, j: int = 2) -> DensityResult:
     """Exact count of m <= n divisible by no j-th power of a prime.
 
-    The count is the sum of mu(d) * (n // d^j) over d <= n^(1/j), taken as
-    one dot product per block of _FLOOR_BLOCK values of d, over Python-int
-    lanes: n // d^j passes int64 once n does.
+    The count is the sum of mu(d) * (n // d^j) over d <= n^(1/j), one dot
+    per block of _FLOOR_BLOCK values of d. It lies in [0, n], so below 2^64
+    it is its residue mod 2^64: wrapping uint64 dots (d^j <= n), reduced
+    once. From 2^64 on, n // d^j no longer fits a word: Python-int lanes.
     """
     if not 2 <= j <= 16:
         raise ValueError(f"j must be in [2, 16], got {j}")
@@ -324,13 +317,14 @@ def kfree_count(n: int, j: int = 2) -> DensityResult:
     ref = constants.reference_constant("kfree", j=j).value
     dmax = iroot(n, j)
     mu = shared_tables(dmax).mu[: dmax + 1]
+    lanes = np.uint64 if n < _MOD else object
     num = 0
     for lo in range(1, dmax + 1, _FLOOR_BLOCK):
         w = mu[lo : lo + _FLOOR_BLOCK]
         d = np.flatnonzero(w)
-        num += np.dot(w[d].astype(object), n // (d + lo).astype(object) ** j)
+        num += int(np.dot(w[d].astype(lanes), n // _power((d + lo).astype(lanes), j)))
     kind = "squarefree" if j == 2 else "kfree"
-    return _result(kind, n, num, n, ref)
+    return _result(kind, n, num % _MOD if n < _MOD else num, n, ref)
 
 
 def squarefree_count(n: int) -> DensityResult:

@@ -30,6 +30,14 @@ def test_exact_pair_json():
     assert rec["tool_version"]
 
 
+def test_exact_kfree_numerator_below_2_pow_64_is_a_json_integer():
+    # the count is summed in uint64 lanes; json.dumps refuses a numpy integer
+    code, (line,) = run_lines(["exact", "kfree", "--n", str(2**64 - 1), "--j", "4"])
+    assert code == 0
+    assert '"numerator": 17043655258566511333,' in line
+    assert json.loads(line)["numerator"] == exact.kfree_count(2**64 - 1, 4).numerator
+
+
 def test_exact_visible_csv():
     code, lines = run_lines(["exact", "visible", "--radius", "5", "--format", "csv"])
     assert code == 0

@@ -157,8 +157,8 @@ def test_answers_do_not_depend_on_cached_prefixes(monkeypatch):
 
 
 def mobius_sum_per_term(n, g, odd=False):
-    """(sum of a * g(q), sum of |a| * g(q)) over the terms of _mobius_sum,
-    one Python int at a time: the reference for its int64 and Python-int dots."""
+    """sum of a * g(q) over the terms of _mobius_sum, one Python int at a
+    time: the reference for its uint64 and Python-int dots."""
     s = math.isqrt(n)
     mert = exact._mertens_at_quotients(n, exact._table_size(n))
     w = sieve.shared_tables(s).mu[1 : s + 1].astype(np.int64)
@@ -170,27 +170,33 @@ def mobius_sum_per_term(n, g, odd=False):
         W = mert(i)
     weights = np.concatenate([w, W[:-1] - W[1:]]).tolist()
     args = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]]).tolist()
-    terms = [(a, g(q)) for a, q in zip(weights, args) if a]
-    return sum(a * v for a, v in terms), sum(abs(a) * v for a, v in terms)
+    return sum(a * g(q) for a, q in zip(weights, args) if a)
 
 
 @pytest.mark.parametrize(
     "n, e, odd, below",
     [
-        (1_249_656, 3, False, True),  # the last n whose k = 3 terms bound below 2^61
-        (1_249_657, 3, False, False),
+        (1_249_656, 3, False, True),
+        (1_249_657, 3, False, True),
+        (2_642_245, 3, False, True),  # the last n with n^3 < 2^64
+        (2_642_246, 3, False, False),
+        (84, 10, False, True),  # the last n with n^10 < 2^64
+        (85, 10, False, False),
         (100, 10, False, False),
-        (6 * 10**9, 2, False, False),  # pairs past 2^30.2
+        (2**32 - 1, 2, False, True),  # the last n with n^2 < 2^64
+        (2**32, 2, False, False),
+        (2**32 - 1, 2, True, True),
+        (2**32, 2, True, False),
+        (6 * 10**9, 2, False, False),
         (10**7, 2, True, True),
     ],
 )
 def test_mobius_sum_matches_per_term_sum(n, e, odd, below):
-    # the sum is one int64 dot while sum |a| g(q) <= 2^61 (with the float
-    # bound's margin far inside the gap to these n) and Python ints above
-    expect, size = mobius_sum_per_term(n, lambda q: ((q + 1) // 2 if odd else q) ** e, odd)
-    assert (size <= 2**61) == below
-    got = exact._mobius_sum(n, lambda q: exact._power((q + 1) // 2 if odd else q, e), odd)
-    assert got == expect
+    # the sum is a count in [0, n^e]: one wrapping uint64 dot while
+    # n^e < 2^64 and a Python-int dot from there on
+    assert (n**e < 2**64) == below
+    expect = mobius_sum_per_term(n, lambda q: ((q + 1) // 2 if odd else q) ** e, odd)
+    assert exact._mobius_sum(n, e, odd) == expect
     if odd:
         assert odd_coprime_pair_count(n).numerator == (expect - 1) // 2
     elif e == 2:
@@ -515,11 +521,23 @@ def kfree_per_d(n, j):
     return sum(mu[d] * (n // d**j) for d in range(1, dmax + 1) if mu[d])
 
 
-@pytest.mark.parametrize("n", [10**6, 2**63 - 1, 2**64 + 5, 10**21])
+@pytest.mark.parametrize("n", [10**6, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 5, 10**21])
 def test_kfree_matches_per_d_oracle(n):
-    # past 2^63 the quotients n // d^j no longer fit int64
-    for j in (2, 3) if n == 10**6 else (3,):
+    # below 2^64 the count is its uint64 residue; from 2^64 on the quotients
+    # n // d^j no longer fit a machine word
+    for j in {10**6: (2, 3), 2**64 - 1: (4,), 2**64: (4,)}.get(n, (3,)):
         assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2**40), st.integers(2**64 - 2**40, 2**64 + 2**40)),
+    j=st.integers(5, 16),
+)
+@example(n=2**64 - 1, j=5)
+@example(n=2**64, j=5)
+def test_kfree_matches_per_d_oracle_near_2_pow_64(n, j):
+    assert kfree_count(n, j).numerator == kfree_per_d(n, j)
 
 
 def test_kfree_sieve_oracle_1e6():
@@ -850,3 +868,29 @@ def test_density_result_value_is_exact_quotient():
     for r in (coprime_pair_count(10), squarefree_count(100), visible_points_in_disk(5)):
         assert r.value == r.numerator / r.denominator
         assert 0 <= r.numerator <= r.denominator
+
+
+@pytest.mark.parametrize(
+    "count, args",
+    [
+        (coprime_pair_count, (2**32 - 1,)),
+        (coprime_pair_count, (2**32,)),
+        (odd_coprime_pair_count, (2**32 - 1,)),
+        (odd_coprime_pair_count, (2**32,)),
+        (ktuple_coprime_count, (2_642_245, 3)),
+        (ktuple_coprime_count, (2_642_246, 3)),
+        (ktuple_coprime_count, (84, 10)),
+        (ktuple_coprime_count, (85, 10)),
+        # squarefree n >= 2^64 would read mu past 2^32, beyond the sieve cap
+        (squarefree_count, (10**12,)),
+        (kfree_count, (2**64 - 1, 4)),
+        (kfree_count, (2**64, 4)),
+    ],
+)
+def test_numerators_are_python_ints(count, args):
+    # json.dumps refuses numpy integers, so a uint64 numerator would fail
+    # every record that carries it
+    r = count(*args)
+    assert type(r.numerator) is int and type(r.denominator) is int
+    if count is coprime_pair_count:
+        assert type(coprime_ordered_count_mobius(args[0])) is int
