@@ -10,12 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
+
+# numpy's OpenBLAS starts one spinning worker per extra CPU when it loads;
+# no command here needs one, so a CLI process starts none unless the caller
+# asks. This must run before the first layer import loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, constants, exact, montecarlo
 from .errors import ResourceLimitError

@@ -271,8 +271,10 @@ def pairwise_coprime_triple_count(n: int) -> DensityResult:
     """Exact count of ordered triples from [1,n]^3 that are pairwise coprime.
 
     Full enumeration, expressed as sum over (b, c) of G[b,c] * (G^2)[b,c]
-    with G the 0/1 coprimality matrix; all matrix entries stay below 2^53 so
-    the float matmul is exact.
+    with G the 0/1 coprimality matrix. Every partial sum, in the float matmul
+    and in the final sum, is a nonnegative integer at most n^3 < 2^53, so
+    each float addition is exact: no summation order (BLAS blocking or
+    thread count) can change the count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -1,0 +1,125 @@
+"""Process start-up: the lazy package and the CLI's BLAS thread default.
+
+Each check runs in a fresh interpreter, because what it tests (which modules
+are loaded, which threads numpy's OpenBLAS starts) is fixed at import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coprime_lab
+
+SRC = str(Path(coprime_lab.__file__).resolve().parents[1])
+
+
+def run_python(code, **env_overrides):
+    """Run code in a fresh interpreter with OPENBLAS_NUM_THREADS unset unless given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.update(env_overrides)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_numpy():
+    loaded = run_python(
+        "import json, sys, coprime_lab; print(json.dumps('numpy' in sys.modules))"
+    )
+    assert loaded is False
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    wrong = run_python(
+        "import importlib, json, coprime_lab as c\n"
+        "wrong = [n for n, m in c._EXPORTS.items()\n"
+        "         if getattr(c, n) is not getattr(importlib.import_module('coprime_lab.' + m), n)]\n"
+        "print(json.dumps(wrong))"
+    )
+    assert wrong == []
+    assert set(coprime_lab.__all__) == {"__version__", *coprime_lab._EXPORTS}
+
+
+def test_star_import_binds_all_public_names():
+    missing = run_python(
+        "import json, coprime_lab\n"
+        "ns = {}\n"
+        "exec('from coprime_lab import *', ns)\n"
+        "print(json.dumps([n for n in coprime_lab.__all__ if n not in ns]))"
+    )
+    assert missing == []
+
+
+def test_unknown_name_raises_attribute_error():
+    message = run_python(
+        "import json, coprime_lab\n"
+        "try:\n"
+        "    coprime_lab.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps(str(exc)))"
+    )
+    assert message == "module 'coprime_lab' has no attribute 'no_such_name'"
+
+
+def test_dir_lists_every_public_name():
+    listed = run_python("import json, coprime_lab; print(json.dumps(dir(coprime_lab)))")
+    assert set(coprime_lab.__all__) <= set(listed)
+
+
+THREADS = (
+    "import json, os, coprime_lab.cli\n"
+    "task = '/proc/self/task'\n"
+    "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))"
+)
+
+
+def test_cli_import_defaults_openblas_to_one_thread():
+    value, threads = run_python(THREADS)
+    assert value == "1"
+    if threads is not None:
+        assert threads == 1
+
+
+def test_cli_keeps_a_callers_openblas_setting():
+    value, _ = run_python(THREADS, OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+
+
+def test_library_leaves_openblas_unset():
+    value = run_python(
+        "import json, os, coprime_lab\n"
+        "coprime_lab.zeta(3)\n"
+        "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    )
+    assert value is None
+
+
+def test_console_script_entry_point_prints_one_record():
+    # the installed coprime-lab script imports cli as a module, not as __main__
+    record = run_python(
+        "import sys\n"
+        "sys.argv = ['coprime-lab', 'const', 'zeta', '--k', '3', '--eps', '1e-12']\n"
+        "from coprime_lab.cli import main\n"
+        "main()"
+    )
+    assert record["experiment"] == "const_zeta"
+    assert record["value"] == pytest.approx(1.2020569031596, abs=1e-12)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_triple_counts_do_not_depend_on_blas_threads(blas_threads):
+    counts = run_python(
+        "import json, coprime_lab\n"
+        "print(json.dumps([coprime_lab.pairwise_coprime_triple_count(n).numerator\n"
+        "                  for n in (1000, 2000)]))",
+        OPENBLAS_NUM_THREADS=blas_threads,
+    )
+    assert counts == [286984546, 2296659322]
