@@ -18,13 +18,34 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import __version__
+from .errors import ResourceLimitError
+
 # numpy's OpenBLAS starts one spinning worker per extra CPU when it loads;
 # no command here needs one, so a CLI process starts none unless the caller
 # asks. This must run before the first layer import loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, constants, exact, montecarlo
-from .errors import ResourceLimitError
+
+class _Layer:
+    """A layer module, imported at its first attribute lookup.
+
+    A command loads only the layers it calls (a const run loads no numpy),
+    and each lookup reads the module as it is then, so a patched or wrapped
+    function is the one called.
+    """
+
+    def __init__(self, name: str):
+        self._name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr):
+        __import__(self._name)  # an import statement's path, which -X importtime reports
+        return getattr(sys.modules[self._name], attr)
+
+
+constants = _Layer("constants")
+exact = _Layer("exact")
+montecarlo = _Layer("montecarlo")
 
 CSV_HEADER = "experiment,n,numerator,denominator,value,reference,abs_gap,ci_low,ci_high,seed,elapsed_ms"
 

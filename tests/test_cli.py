@@ -4,6 +4,8 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
+import oracle
 import pytest
 
 from coprime_lab import cli, exact, montecarlo, sieve
@@ -340,8 +342,8 @@ RECORDS = {
     ],
     "exact ktuple --n 100 --k 4": [
         {"experiment": "ktuple", "params": {"n": 100, "k": 4}, "numerator": 92434863,
-         "denominator": 100000000, "value": 0.92434863, "reference": 0.923938403132,
-         "abs_gap": 0.000410226867672, "n": "100"},
+         "denominator": 100000000, "value": 0.92434863, "reference": 0.923938402922,
+         "abs_gap": 0.00041022707841, "n": "100"},
     ],
     "exact triple3 --n 50": [
         {"experiment": "triple3", "params": {"n": 50}, "numerator": 36784,
@@ -350,12 +352,12 @@ RECORDS = {
     ],
     "exact squarefree --n 100": [
         {"experiment": "squarefree", "params": {"n": 100}, "numerator": 61, "denominator": 100,
-         "value": 0.61, "reference": 0.607927101946, "abs_gap": 0.00207289805371, "n": "100"},
+         "value": 0.61, "reference": 0.607927101854, "abs_gap": 0.00207289814597, "n": "100"},
     ],
     "exact kfree --n 100 --j 3": [
         {"experiment": "kfree", "params": {"n": 100, "j": 3}, "numerator": 85,
-         "denominator": 100, "value": 0.85, "reference": 0.831907372753,
-         "abs_gap": 0.0180926272469, "n": "100"},
+         "denominator": 100, "value": 0.85, "reference": 0.831907372581,
+         "abs_gap": 0.0180926274193, "n": "100"},
     ],
     "exact visible --radius 10": [
         {"experiment": "visible", "params": {"radius": 10}, "numerator": 192,
@@ -373,45 +375,45 @@ RECORDS = {
     ],
     "const zeta --k 3 --eps 1e-12": [
         {"experiment": "const_zeta",
-         "params": {"k": 3, "eps": 1e-12, "abs_error_bound": 5.018441247739167e-13,
-             "method": "series", "terms": 840},
+         "params": {"k": 3, "eps": 1e-12, "abs_error_bound": 1.3549100482649852e-16,
+             "method": "series", "terms": 24},
          "value": 1.20205690316, "n": "3"},
     ],
     "const invzeta --k 4 --eps 1e-10": [
         {"experiment": "const_invzeta",
-         "params": {"k": 4, "eps": 1e-10, "abs_error_bound": 2.1265074458859453e-11,
-             "method": "series", "terms": 105},
-         "value": 0.923938402943, "n": "4"},
+         "params": {"k": 4, "eps": 1e-10, "abs_error_bound": 3.2618721438102975e-16,
+             "method": "series", "terms": 24},
+         "value": 0.923938402922, "n": "4"},
     ],
     "const euler-product --eps 1e-9": [
         {"experiment": "const_euler_product",
-         "params": {"eps": 1e-09, "abs_error_bound": 1.9444526243970554e-14,
+         "params": {"eps": 1e-09, "abs_error_bound": 1.5419830089151032e-15,
              "method": "euler_product", "prime_bound": 1000, "primes": 168,
              "tail": "prime_zeta"},
          "value": 0.607927101854, "n": ""},
     ],
     "const catalan": [
         {"experiment": "const_catalan",
-         "params": {"eps": 1e-09, "abs_error_bound": 8.998048570754121e-10,
-             "method": "alternating_series", "terms": 16668},
-         "value": 0.915965593727, "n": ""},
+         "params": {"eps": 1e-09, "abs_error_bound": 1.0324394661797057e-16,
+             "method": "alternating_series", "terms": 24},
+         "value": 0.915965594177, "n": ""},
     ],
     "const gaussian": [
         {"experiment": "const_gaussian",
-         "params": {"eps": 1e-09, "abs_error_bound": 3.2603352750779577e-10,
-             "method": "alternating_series", "catalan_terms": 23571},
-         "value": 0.663700804451, "n": ""},
+         "params": {"eps": 1e-09, "abs_error_bound": 6.64294409012177e-16,
+             "method": "alternating_series", "catalan_terms": 24},
+         "value": 0.663700804614, "n": ""},
     ],
     "const q3": [
         {"experiment": "const_q3",
-         "params": {"eps": 1e-09, "abs_error_bound": 5.765648534948939e-14,
+         "params": {"eps": 1e-09, "abs_error_bound": 1.1651661499431583e-15,
              "method": "euler_product", "prime_bound": 1000, "primes": 168,
              "tail": "prime_zeta"},
          "value": 0.286747428434, "n": ""},
     ],
     "const delta": [
         {"experiment": "const_delta",
-         "params": {"dim": "inf", "eps": 1e-09, "abs_error_bound": 5.845513511338589e-14,
+         "params": {"dim": "inf", "eps": 1e-09, "abs_error_bound": 1.999885339713124e-14,
              "method": "euler_product", "prime_bound": 1000, "primes": 168,
              "tail": "prime_zeta"},
          "value": 0.353236371855, "n": ""},
@@ -444,7 +446,7 @@ RECORDS = {
         {"experiment": "gaussian",
          "params": {"box_half_width": 100, "generator": "splitmix64", "batch_size": 65536,
              "trials": 20000, "successes": 13317},
-         "value": 0.66585, "reference": 0.663700804451, "abs_gap": 0.00214919554917,
+         "value": 0.66585, "reference": 0.663700804614, "abs_gap": 0.00214919538615,
          "ci95": [0.659281497044, 0.672354804595], "seed": 3, "n": "100"},
     ],
     "mc det --dim 3 --entry-max 10 --trials 20000 --seed 5": [
@@ -514,3 +516,53 @@ def _records(cmd):
 def test_whole_record_pinned(cmd):
     assert _ordered(_records(cmd)) == _ordered(RECORDS[cmd])
 
+
+
+def _printed_cases():
+    """(argv, printed field, the true value at 50 digits) for every constant the CLI prints."""
+    with mp.workdps(oracle.DPS):
+        six, eight = 6 / mp.pi**2, 8 / mp.pi**2
+        q3 = oracle.euler_product("q3")
+        delta = lambda dim: oracle.euler_product(("delta", dim))  # noqa: E731
+        inv_zeta = lambda k: 1 / oracle.zeta(k)  # noqa: E731
+        cases = [(f"const zeta --k {k}", "value", oracle.zeta(k)) for k in range(2, 65)]
+        cases += [(f"const invzeta --k {k}", "value", inv_zeta(k)) for k in range(2, 65)]
+        cases += [
+            ("const euler-product", "value", oracle.euler_product("inv_zeta2")),
+            ("const catalan", "value", oracle.catalan()),
+            ("const gaussian", "value", oracle.gaussian()),
+            ("const q3", "value", q3),
+            ("const odd", "value", eight),
+            ("const pair", "value", six),
+        ]
+        cases += [(f"const delta --dim {d}", "value", delta(d)) for d in (1, 2, 3, 6, 8)]
+        cases += [("const delta --dim inf", "value", delta(None))]
+        cases += [(f"exact {op} --n 10", "reference", six) for op in ("pair", "squarefree", "fgcd")]
+        cases += [
+            ("exact odd-pair --n 10", "reference", eight),
+            ("exact gcd-eq --n 10 --t 3", "reference", six / 9),
+            ("exact triple3 --n 10", "reference", q3),
+            ("exact visible --radius 10", "reference", six),
+            ("exact prime-density --x 100", "reference", mp.mpf(0)),
+        ]
+        cases += [(f"exact ktuple --n 10 --k {k}", "reference", inv_zeta(k)) for k in range(2, 7)]
+        cases += [(f"exact kfree --n 10 --j {j}", "reference", inv_zeta(j)) for j in range(2, 7)]
+        mc = "--trials 10 --seed 1"
+        cases += [
+            (f"mc pair {mc}", "reference", six),
+            (f"mc triple3 {mc}", "reference", q3),
+            (f"mc gaussian {mc}", "reference", oracle.gaussian()),
+        ]
+        cases += [(f"mc det --dim {d} --entry-max 10 {mc}", "reference", delta(d)) for d in range(1, 9)]
+    return cases
+
+
+def test_printed_constants_are_the_true_values_to_12_digits():
+    wrong = []
+    for cmd, field, true in _printed_cases():
+        (rec,) = run_json(cmd.split())
+        with mp.workdps(oracle.DPS):
+            expected = float(mp.nstr(true, 12, min_fixed=-mp.inf))
+        if rec[field] != expected:
+            wrong.append((cmd, field, rec[field], expected))
+    assert wrong == []

@@ -1,12 +1,15 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+import oracle
 import pytest
 
-from coprime_lab import constants
+from coprime_lab import constants, sieve
 from coprime_lab.constants import (
     ConstantValue,
     catalan,
@@ -61,12 +64,15 @@ def test_zeta_decreasing_toward_one():
 
 
 def test_zeta_certificate_holds():
-    exact = {2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945}
-    for k, true in exact.items():
-        for eps in (1e-6, 1e-9, 1e-12, 1e-14):
-            cv = zeta(k, eps)
-            assert cv.abs_error_bound <= eps
-            assert_certified(cv, true)
+    # pi^4/90 in floats is itself off by an ulp, so the closed forms are
+    # evaluated at 50 digits; the bounds are a few units of 1e-16
+    with mp.workdps(50):
+        exact = {2: mp.pi**2 / 6, 4: mp.pi**4 / 90, 6: mp.pi**6 / 945}
+        for k, true in exact.items():
+            for eps in (1e-6, 1e-9, 1e-12, 1e-14):
+                cv = zeta(k, eps)
+                assert cv.abs_error_bound <= eps
+                assert abs(mp.mpf(cv.value) - true) <= cv.abs_error_bound
 
 
 def test_zeta_errors():
@@ -129,12 +135,13 @@ def test_euler_product_floor_is_reachable():
 
 
 def test_constants_need_no_primes_past_1e5(monkeypatch):
-    def capped(limit):
-        if limit > 10**5:
-            raise AssertionError(f"asked for primes up to {limit}")
-        return primes_up_to(limit)
+    # the constants read no sieve table at all: their head primes are their own
+    def refuse(limit):
+        raise AssertionError(f"asked the sieve for {limit}")
 
-    monkeypatch.setattr(constants, "primes_up_to", capped)
+    monkeypatch.setattr(sieve, "primes_up_to", refuse)
+    monkeypatch.setattr(sieve, "shared_tables", refuse)
+    monkeypatch.setattr(constants, "_tails", None)
     for cv in (
         euler_product_inv_zeta2(1e-11),
         pairwise_triple_constant(1e-8),
@@ -251,81 +258,11 @@ def test_delta_errors():
 # mpmath oracle: every Euler product against its certificate
 # ---------------------------------------------------------------------------
 
-# The oracle multiplies the factors of the primes p <= ORACLE_PRIMES in mpmath
-# and sums the rest as sum_s c_s (P(s) - sum_{p <= ORACLE_PRIMES} p^-s), with
-# P = mpmath.primezeta and -log F(x) = sum_s c_s x^s expanded here as
-# sum_m h^m / m for F = 1 - h. The coefficients of these factors grow at most
-# like 4^s, so the series terms past ORACLE_DEGREE are below (4/100)^40.
-ORACLE_PRIMES = 100
-ORACLE_DEGREE = 40
-
-
-def _series_mul(a, b):
-    out = [Fraction(0)] * (ORACLE_DEGREE + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b[: ORACLE_DEGREE + 1 - i]):
-                out[i + j] += x * y
-    return out
-
-
-def _neg_log_coeffs(f):
-    h = [Fraction(0)] + [-Fraction(c) for c in f[1:]]
-    h += [Fraction(0)] * (ORACLE_DEGREE + 1 - len(h))
-    out = [Fraction(0)] * (ORACLE_DEGREE + 1)
-    power = [Fraction(1)] + [Fraction(0)] * ORACLE_DEGREE
-    for m in range(1, ORACLE_DEGREE // 2 + 1):  # h = O(x^2)
-        power = _series_mul(power, h)
-        out = [o + c / m for o, c in zip(out, power)]
-    return out
-
-
-def _delta_factor_series(dim):
-    inner = [Fraction(1)]
-    for k in range(1, min(dim or ORACLE_DEGREE, ORACLE_DEGREE) + 1):
-        inner = _series_mul(inner, [1] + [0] * (k - 1) + [-1])
-    gap = [-c for c in inner]
-    gap[0] += 1
-    f = [-c for c in _series_mul(gap, gap)]
-    f[0] += 1
-    return f
-
-
-def _delta_factor(dim, p):
-    inner = mp.mpf(1)
-    for k in range(1, (dim or 120) + 1):  # 2^-120 is below 30 digits
-        inner *= 1 - p**-k
-    return 1 - (1 - inner) ** 2
-
-
-@lru_cache(maxsize=None)
-def _oracle(name):
-    """The constant to 30 digits: 'inv_zeta2', 'q3' or ('delta', dim)."""
-    if name == "inv_zeta2":
-        f, factor = [1, 0, -1], lambda p: 1 - p**-2
-    elif name == "q3":  # Q = prod_p (1 - 1/p)^2 (1 + 2/p)
-        f, factor = [1, 0, -3, 2], lambda p: (1 - 1 / p) ** 2 * (1 + 2 / p)
-    else:
-        dim = name[1]
-        f, factor = _delta_factor_series(dim), lambda p: _delta_factor(dim, p)
-    primes = [int(p) for p in primes_up_to(ORACLE_PRIMES)]
-    c = _neg_log_coeffs(f)
-    with mp.workdps(30):
-        head = mp.fprod(factor(mp.mpf(p)) for p in primes)
-        tail = mp.fsum(
-            mp.mpf(c[s].numerator) / c[s].denominator
-            * (mp.primezeta(s) - mp.fsum(mp.mpf(p) ** -s for p in primes))
-            for s in range(2, ORACLE_DEGREE + 1)
-            if c[s]
-        )
-        return head * mp.exp(-tail)
-
-
 def test_oracle_matches_closed_forms():
-    with mp.workdps(30):
-        assert abs(_oracle("inv_zeta2") - 6 / mp.pi**2) < mp.mpf(10) ** -28
-        assert abs(_oracle(("delta", 1)) - 6 / mp.pi**2) < mp.mpf(10) ** -28
-        assert abs(_oracle("q3") - mp.mpf("0.28674742843447873410789271279")) < mp.mpf(10) ** -28
+    with mp.workdps(oracle.DPS):
+        assert abs(oracle.euler_product("inv_zeta2") - 6 / mp.pi**2) < mp.mpf(10) ** -48
+        assert abs(oracle.euler_product(("delta", 1)) - 6 / mp.pi**2) < mp.mpf(10) ** -48
+        assert abs(oracle.euler_product("q3") - mp.mpf("0.28674742843447873410789271279")) < mp.mpf(10) ** -28
 
 
 ORACLE_CASES = [("inv_zeta2", eps) for eps in (1e-6, 1e-9)] + [
@@ -350,8 +287,110 @@ def test_certificate_against_mpmath_oracle(name, eps):
     else:
         cv = delta_determinant_constant(name[1], eps)
     assert cv.abs_error_bound <= eps
-    with mp.workdps(30):
-        assert abs(mp.mpf(cv.value) - _oracle(name)) <= cv.abs_error_bound
+    with mp.workdps(oracle.DPS):
+        assert abs(mp.mpf(cv.value) - oracle.euler_product(name)) <= cv.abs_error_bound
+
+
+# ---------------------------------------------------------------------------
+# 50-digit oracle at every eps, against the bounds of the replaced code
+# ---------------------------------------------------------------------------
+
+#: Bounds of the code that CRVZ and fsum replaced (Euler-Maclaurin zeta, a
+#: plain alternating series for G, numpy pairwise sums), which no bound may
+#: exceed. zeta and inv_zeta: the least over k = 2..64, the same at every eps.
+OLD_BOUNDS = {
+    "zeta": 8.8832297998979e-16,
+    "inv_zeta": 1.1103675849148221e-15,
+    "catalan": {
+        1e-6: 8.950556253705702e-07, 1e-7: 8.980232849781712e-08, 1e-8: 8.996461175446159e-09,
+        1e-9: 8.998048570754121e-10, 1e-10: 8.999656724499763e-11,
+        1e-11: 9.003037346271928e-12, 1e-12: 9.035051040651804e-13,
+    },
+    "gaussian": {
+        1e-6: 3.250678332053869e-07, 1e-7: 3.256578149684642e-08, 1e-8: 3.2589670363239606e-09,
+        1e-9: 3.2603352750779577e-10, 1e-10: 3.260778519114191e-11,
+        1e-11: 3.2635608514310212e-12, 2e-12: 6.552615252023085e-13,
+    },
+    # the products' bounds did not depend on eps
+    "inv_zeta2": 1.9444526243970554e-14,
+    "q3": 5.765648534948939e-14,
+    ("delta", 2): 3.2902401148545507e-14,
+    ("delta", 3): 3.5329189479326565e-14,
+    ("delta", 6): 4.452517167694754e-14,
+    ("delta", 8): 4.530172723018691e-14,
+    ("delta", None): 5.845513511338589e-14,
+}
+
+
+def eps_grid(floor):
+    """1e-6, 1e-7, ... down to the floor, and the floor itself."""
+    grid = [float(f"1e-{e}") for e in range(6, 16) if float(f"1e-{e}") >= floor]
+    return grid if grid[-1] == floor else grid + [floor]
+
+
+def assert_oracle(cv, true, eps, old):
+    assert cv.abs_error_bound <= min(eps, old)
+    with mp.workdps(oracle.DPS):
+        assert abs(mp.mpf(cv.value) - true) <= cv.abs_error_bound
+
+
+def test_zeta_and_inv_zeta_against_oracle_at_every_eps():
+    for k in range(2, 65):
+        true = oracle.zeta(k)
+        with mp.workdps(oracle.DPS):
+            inverse = 1 / true
+        for eps in eps_grid(1e-14):
+            assert_oracle(zeta(k, eps), true, eps, OLD_BOUNDS["zeta"])
+        for eps in eps_grid(2e-14):
+            assert_oracle(inv_zeta(k, eps), inverse, eps, OLD_BOUNDS["inv_zeta"])
+
+
+def test_catalan_and_gaussian_against_oracle_at_every_eps():
+    assert eps_grid(1e-12) == list(OLD_BOUNDS["catalan"])
+    for eps, old in OLD_BOUNDS["catalan"].items():
+        assert_oracle(catalan(eps), oracle.catalan(), eps, old)
+    assert eps_grid(2e-12) == list(OLD_BOUNDS["gaussian"])
+    for eps, old in OLD_BOUNDS["gaussian"].items():
+        assert_oracle(gaussian_coprime_constant(eps), oracle.gaussian(), eps, old)
+
+
+@pytest.mark.parametrize("name", ["inv_zeta2", "q3", ("delta", 2), ("delta", 3), ("delta", 6),
+                                  ("delta", 8), ("delta", None)], ids=_case_id)
+def test_euler_product_against_oracle_at_every_eps(name):
+    for eps in eps_grid(constants._PRODUCT_EPS_FLOOR):
+        if name == "inv_zeta2":
+            cv = euler_product_inv_zeta2(eps)
+        elif name == "q3":
+            cv = pairwise_triple_constant(eps)
+        else:
+            cv = delta_determinant_constant(name[1], eps)
+        assert_oracle(cv, oracle.euler_product(name), eps, OLD_BOUNDS[name])
+
+
+def test_crvz_weights_are_algorithm_1s():
+    n = constants._CRVZ_TERMS
+    d = constants._CRVZ_D
+    assert d == 1180872205318713601
+    with mp.workdps(50):
+        assert d == mp.nint(((3 + mp.sqrt(8)) ** n + (3 - mp.sqrt(8)) ** n) / 2)  # T_n(3)
+    # CRVZ Algorithm 1 in exact rationals
+    b, c, weights = Fraction(-1), Fraction(-d), []
+    for k in range(n):
+        c = b - c
+        weights.append(c)
+        b = (k + n) * (k - n) * b / ((k + Fraction(1, 2)) * (k + 1))
+    assert list(constants._CRVZ_WEIGHTS) == weights
+    assert 16.9 < sum(abs(w) for w in weights) / d < 17
+
+
+def test_log_zeta_table_is_summed_once_per_process(monkeypatch):
+    calls = []
+    summed = constants._sum_prime_zeta_tails
+    monkeypatch.setattr(constants, "_tails", None)
+    monkeypatch.setattr(constants, "_sum_prime_zeta_tails", lambda: calls.append(1) or summed())
+    first = [euler_product_inv_zeta2(1e-9), pairwise_triple_constant(1e-9)]
+    again = [euler_product_inv_zeta2(1e-9), pairwise_triple_constant(1e-9)]
+    assert calls == [1] and first == again
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +432,33 @@ def test_published_digit_brackets():
     for cv, printed in cases:
         assert_certified(cv, printed, slack=PRINT6)
         assert cv.abs_error_bound <= 1e-6
+
+
+def test_products_on_a_cold_cache_from_two_threads(monkeypatch):
+    products = (
+        lambda: euler_product_inv_zeta2(1e-9),
+        lambda: pairwise_triple_constant(1e-9),
+        lambda: delta_determinant_constant(None, 1e-9),
+    )
+    serial = [f() for f in products]
+    sums = []
+    summed = constants._sum_prime_zeta_tails
+    monkeypatch.setattr(constants, "_tails", None)
+    monkeypatch.setattr(constants, "_sum_prime_zeta_tails", lambda: sums.append(1) or summed())
+    start = threading.Barrier(2)
+
+    def run(order):
+        start.wait(timeout=60)
+        return [products[i]() for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            forward = pool.submit(run, (0, 1, 2))
+            backward = pool.submit(run, (2, 1, 0))
+            assert forward.result(timeout=60) == serial
+            assert backward.result(timeout=60) == serial[::-1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sums == [1]

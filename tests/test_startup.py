@@ -123,3 +123,61 @@ def test_triple_counts_do_not_depend_on_blas_threads(blas_threads):
         OPENBLAS_NUM_THREADS=blas_threads,
     )
     assert counts == [286984546, 2296659322]
+
+
+LAYERS = ("numpy", "coprime_lab.constants", "coprime_lab.exact", "coprime_lab.montecarlo",
+          "coprime_lab.sieve", "coprime_lab.gaussian")
+
+
+def loaded_after(code):
+    """The modules of LAYERS that a fresh interpreter has loaded after running code."""
+    return run_python(
+        f"import io, json, sys\n{code}\n"
+        f"print(json.dumps([m for m in {LAYERS!r} if m in sys.modules]))"
+    )
+
+
+def runs(*commands):
+    """Code that runs each CLI command in-process and requires exit code 0."""
+    return "from coprime_lab import cli\n" + "".join(
+        f"assert cli.run({cmd.split()!r}, out=io.StringIO()) == 0\n" for cmd in commands
+    )
+
+
+def test_cli_import_loads_no_numpy_and_no_layer():
+    assert loaded_after("import coprime_lab.cli") == []
+
+
+def test_const_runs_load_no_numpy():
+    loaded = loaded_after(runs(
+        "const zeta --k 3", "const invzeta --k 5", "const euler-product", "const catalan",
+        "const gaussian", "const q3", "const delta --dim 6", "const delta --dim inf",
+        "const odd", "const pair",
+    ))
+    assert loaded == ["coprime_lab.constants"]
+
+
+def test_exact_runs_load_no_montecarlo():
+    loaded = loaded_after(runs(
+        "exact pair --n 1000", "exact odd-pair --n 100", "exact gcd-eq --n 100 --t 2",
+        "exact ktuple --n 100 --k 3", "exact triple3 --n 50", "exact squarefree --n 100",
+        "exact kfree --n 100 --j 3", "exact visible --radius 10", "exact fgcd --n 100",
+        "exact prime-density --x 1000", "report convergence --experiment pair --ns 10,100",
+    ))
+    assert "coprime_lab.exact" in loaded and "coprime_lab.montecarlo" not in loaded
+
+
+def test_mc_runs_load_no_exact():
+    loaded = loaded_after(runs(
+        "mc pair --trials 100", "mc triple3 --trials 100", "mc gaussian --trials 100",
+        "mc det --dim 3 --trials 100",
+    ))
+    assert "coprime_lab.montecarlo" in loaded and "coprime_lab.exact" not in loaded
+
+
+def test_constants_primes_and_mobius_match_the_sieve():
+    from coprime_lab import constants, sieve
+
+    assert list(constants._HEAD_PRIMES) == sieve.primes_up_to(1000).tolist()
+    mu = sieve.shared_tables(32).mu
+    assert [constants._mobius(k) for k in range(1, 33)] == mu[1:33].tolist()
