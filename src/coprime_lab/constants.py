@@ -129,6 +129,12 @@ def _mobius(k: int) -> int:
     return -mu if k > 1 else mu
 
 
+def _refuse_above(bound: float, eps: float) -> None:
+    """Refuse an eps that the certified bound does not meet."""
+    if bound > eps:
+        raise PrecisionError(f"certified bound {bound:.2e} exceeds requested {eps:.2e}")
+
+
 def _sum_bound(abs_sum: float) -> float:
     """Error of a math.fsum over terms each within 4u of its exact value.
 
@@ -226,8 +232,7 @@ def _euler_product(
     value = lead * math.exp(log_value)
     # exp, the product with lead and lead's own roundings stay within 12u
     bound = value * (math.expm1(err) + 12 * _U)
-    if bound > eps:
-        raise PrecisionError(f"certified bound {bound:.2e} exceeds requested {eps:.2e}")
+    _refuse_above(bound, eps)
     return ConstantValue(
         value, bound, "euler_product",
         {**params, "prime_bound": P, "primes": len(_HEAD_PRIMES), "tail": "prime_zeta", "eps": eps},
@@ -238,25 +243,25 @@ def zeta(k: int, eps: float = 1e-12) -> ConstantValue:
     """zeta(k) for integer 2 <= k <= 64, from the CRVZ sum of eta(k).
 
     One division rounds num/den of :func:`_zeta_ratio`, so the value is
-    within u value + 2 zeta(k)/d + 2^-122, below 2e-16 for every k. eps
-    below the floor of 1e-14 is refused.
+    within u value + 2 zeta(k)/d + 2^-122, below 2e-16 for every k. An eps
+    below that bound is refused.
     """
     if not 2 <= k <= _ZETA_MAX:
         raise ValueError(f"k must be in [2, {_ZETA_MAX}], got {k}")
-    if eps < 1e-14:
-        raise PrecisionError(f"zeta eps floor is 1e-14, got {eps}")
     num, den = _zeta_ratio(k)
     value = num / den
     bound = value * (_U + 2 / _CRVZ_D) + 2.0**-122
+    _refuse_above(bound, eps)
     return ConstantValue(value, bound, "series", {"terms": _CRVZ_TERMS, "eps": eps, "k": k})
 
 
 def inv_zeta(k: int, eps: float = 1e-12) -> ConstantValue:
     """1/zeta(k), the k-tuple coprimality and k-free density limit."""
-    z = zeta(k, eps / 2)
+    z = zeta(k, eps)
     value = 1.0 / z.value
     # zeta >= 1, so |d(1/z)| <= dz / z^2 <= dz
     bound = z.abs_error_bound / (z.value * (z.value - z.abs_error_bound)) + 2 * _U
+    _refuse_above(bound, eps)
     return ConstantValue(value, bound, "series", {"terms": z.params["terms"], "eps": eps, "k": k})
 
 
@@ -274,22 +279,20 @@ def catalan(eps: float = 1e-9) -> ConstantValue:
     """Catalan's G = sum_j (-1)^j/(2j+1)^2 as a CRVZ sum, rounded once.
 
     The measure is -log x / (4 sqrt x) dx, so the value is within
-    u value + 2G/d + 2^-123 of G. eps below the floor of 1e-12 is refused.
+    u value + 2G/d + 2^-123 of G. An eps below that bound is refused.
     """
-    if eps < 1e-12:
-        raise PrecisionError(f"catalan eps floor is 1e-12, got {eps}")
     value = _crvz_sum(lambda j: (2 * j + 1) ** 2) / (_CRVZ_D << _FIX)
     bound = value * (_U + 2 / _CRVZ_D) + 2.0**-123
+    _refuse_above(bound, eps)
     return ConstantValue(value, bound, "alternating_series", {"terms": _CRVZ_TERMS, "eps": eps})
 
 
 def gaussian_coprime_constant(eps: float = 1e-9) -> ConstantValue:
     """6/(pi^2 G): density of coprime pairs of Gaussian integers."""
-    if eps < 2e-12:
-        raise PrecisionError(f"gaussian constant eps floor is 2e-12, got {eps}")
-    g = catalan(eps / 2)
+    g = catalan(eps)
     value = 6.0 / (math.pi**2 * g.value)
     bound = g.abs_error_bound * value / (g.value - g.abs_error_bound) + 8 * _U * value
+    _refuse_above(bound, eps)
     return ConstantValue(value, bound, "alternating_series", {"eps": eps, "catalan_terms": g.params["terms"]})
 
 
@@ -316,8 +319,7 @@ def delta_determinant_constant(n: int | None, eps: float = 1e-9) -> ConstantValu
         raise ValueError(f"dimension must be in [1, 500] or None, got {n}")
     if n == 1:
         cv = _closed(6.0 / math.pi**2, {"dim": 1, "eps": eps})
-        if cv.abs_error_bound > eps:
-            raise PrecisionError(f"certified bound {cv.abs_error_bound:.2e} exceeds requested {eps:.2e}")
+        _refuse_above(cv.abs_error_bound, eps)
         return cv
     log_head, head_errs = [], []
     for p in _HEAD_PRIMES:

@@ -26,8 +26,8 @@ TRIPLE_BRUTE_BOUND = 2000
 #: Largest x prime_density accepts: pi(1e11) takes about 1 s (2 vCPUs).
 PRIME_DENSITY_MAX = 10**11
 
-#: Lanes per block of the vectorised sums (kfree, visible, fgcd), which
-#: bounds their working memory at any size.
+#: Lanes per block of the vectorised sums (the Möbius sums' term-by-term
+#: part, visible, fgcd), which bounds their working memory at any size.
 _FLOOR_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
@@ -66,49 +66,53 @@ _MOD = 1 << 64
 _SMALL_TABLE = 10**4
 
 
-def _base_size(n: int) -> int:
-    """Base table size for the recurrence at n: about n^(2/3), at least isqrt(n)."""
-    return max(isqrt(n), iroot(n * n, 3))
+def _base_size(n: int, j: int = 1) -> int:
+    """Base table size for the recurrence at n: about n^(2/(2j+1)), at most iroot(n, j)."""
+    return min(iroot(n, j), iroot(n * n, 2 * j + 1))
 
 
-def _table_size(n: int) -> int:
-    """Base table size the public routes use: all of n when n is small, else
-    about n^(2/3) or the longest prefix the process has already summed,
-    whichever is larger (a cold process sums exactly n^(2/3), so its route
-    is fixed)."""
-    cold = min(n, max(_SMALL_TABLE, _base_size(n)))
-    return min(n, len(summatory_prefixes(cold)[0]) - 1)
+def _table_size(n: int, j: int = 1) -> int:
+    """Base table size the public routes use: all of iroot(n, j) when small,
+    else _base_size(n, j) or the longest prefix the process has already
+    summed, whichever is larger (so a cold process's route is fixed)."""
+    top = iroot(n, j)
+    cold = min(top, max(_SMALL_TABLE, _base_size(n, j)))
+    return min(top, len(summatory_prefixes(cold)[0]) - 1)
 
 
-def _quotient_values(n: int, L: int, prefix: np.ndarray, G) -> np.ndarray:
-    """big[k] = F(n // k) mod 2^64 for k = 1..n // (L + 1); big[0] is unused.
+def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.ndarray:
+    """big[k] = F(x_k) mod 2^64 at x_k = iroot(n // k, j) > L, that is for
+    k = 1..K = n // (L + 1)^j; big[0] is unused.
 
     F satisfies F(m) = G(m) - sum of F(m // d) over d = 2..m, and prefix is
-    a table of F(m) for m = 0..L at least, with L >= isqrt(n), as uint64
+    a table of F(m) for m = 0..L at least, with L >= isqrt(x_1), as uint64
     residues or exact int32 values (Deleglise & Rivat, Experimental
-    Mathematics 5, 1996). Points above L are filled from the smallest
-    (k = K) up. With s = isqrt(m), each d <= s reads m // d = n // (k*d)
-    from big[k*d] while k*d <= K and from prefix otherwise; the d > s share
-    q = m // d <= m // (s + 1) in runs of m // q - m // (q + 1). uint64
-    wraps mod 2^64 and the recurrence is integer-linear, so the residues
-    are exact at any n. An int32 prefix sums exactly in int64 (at most
-    sqrt(n) values of size at most L < 2^31), and its head up to isqrt(n) + 1
-    is cast to uint64 residues once for the dots (a uint64-int32 dot would
-    run in float64).
+    Mathematics 5, 1996). As x_k // d = x_(k*d^j) (Pawlewicz, "Counting
+    square-free numbers", 2011), the points are filled from k = K up: with
+    s = isqrt(m), each d <= s reads m // d from big[k*d^j] while k*d^j <= K
+    and from prefix otherwise; the d > s share q = m // d <= m // (s + 1) in
+    runs of m // q - m // (q + 1). uint64 wraps mod 2^64 and the recurrence
+    is integer-linear, so the residues are exact at any n. An int32 prefix
+    sums exactly in int64 (at most sqrt(n) values of size at most L < 2^31),
+    and its head up to isqrt(x_1) + 1 is cast to uint64 residues once for
+    the dots (a uint64-int32 dot would run in float64).
     """
-    K = n // (L + 1)
+    K = n // (L + 1) ** j
     big = np.zeros(K + 1, dtype=np.uint64)
-    ar = np.arange(isqrt(n) + 3, dtype=np.int64)
-    head = prefix[: isqrt(n) + 2].astype(np.uint64, copy=False)
+    if K == 0:
+        return big
+    ar = np.arange(isqrt(iroot(n, j)) + 3, dtype=np.int64)
+    arj = ar[: iroot(K, j) + 2] ** j
+    head = prefix[: len(ar) - 1].astype(np.uint64, copy=False)
     for k in range(K, 0, -1):
-        m = n // k
+        m = iroot(n // k, j)
         s = isqrt(m)
-        t = min(s, K // k)
+        t = min(s, iroot(K // k, j))
         quo = m // ar[1 : m // (s + 1) + 2]  # m // q for q = 1..Q+1
         runs = (quo[:-1] - quo[1:]).view(np.uint64)
         total = (
             G(m)
-            - int(big[k * ar[2 : t + 1]].sum())
+            - int(big[k * arj[2 : t + 1]].sum())
             - int(prefix[m // ar[t + 1 : s + 1]].sum())
             - int(np.dot(runs, head[1 : len(quo)]))
         )
@@ -132,19 +136,20 @@ def _totient_at(n: int, L: int) -> int:
     return center + (int(big[1]) - center + half) % _MOD - half
 
 
-def _mertens_at_quotients(n: int, L: int):
-    """mertens with mertens(i) = M(n // i) for int64 arrays i >= 1, from a
-    base table of size L.
+def _mertens_at_quotients(n: int, L: int, j: int = 1):
+    """mertens with mertens(i) = M(iroot(n // i, j)) for int64 arrays i >= 1,
+    from a base table of size L; for j > 1, M(L) past n // (L + 1)^j.
 
     M is the Mertens function, M(m) = 1 - sum of M(m // d) over d >= 2;
     |M(m)| <= m < 2^63, so its uint64 residues read as int64 are exact.
     """
     prefix = summatory_prefixes(L)[1]
-    big = _quotient_values(n, L, prefix, lambda m: 1).view(np.int64)
+    big = _quotient_values(n, L, prefix, lambda m: 1, j).view(np.int64)
     K = len(big) - 1
 
     def mertens(i: np.ndarray) -> np.ndarray:
-        return np.where(i <= K, big[np.minimum(i, K)], prefix[np.minimum(n // i, L)])
+        low = prefix[np.minimum(n // i, L)] if j == 1 else prefix[L]
+        return np.where(i <= K, big[np.minimum(i, K)], low)
 
     return mertens
 
@@ -163,36 +168,41 @@ def _odd_mertens(mertens, n: int, i: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mobius_sum(n: int, k: int, odd: bool = False) -> int:
-    """sum of mu(d) * g(n // d) over d = 1..n (odd d only if odd), exactly,
+def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
+    """sum of mu(d) * g(n // d^j) over d = 1..n (odd d only if odd), exactly,
     with g(q) = q^k, or ((q + 1) // 2)^2 for odd pairs (odd with k = 2).
 
-    With s = isqrt(n), d <= s is summed term by term; every d > s has
-    q = n // d <= n // (s + 1), and the d sharing q weigh
-    W(n // q) - W(n // (q + 1)) with W = M (or M_odd) at quotient points, so
-    no table up to n is built. That leaves fewer than 2 sqrt(n) terms.
+    d <= D is summed term by term, in blocks of _FLOOR_BLOCK, with D =
+    isqrt(n) for j = 1 and the base size L above. The d > D sharing q =
+    n // d^j, those in (x_(q+1), x_q] cut at D, weigh W(q) - W(q + 1) with
+    W = M (or M_odd) at x_q = iroot(n // q, j) and M(D) past the last q, so
+    no table up to n^(1/j) is built: about 2 sqrt(n) terms for j = 1 and
+    n^(2/(2j+1)) above.
 
-    The sum counts k-tuples (or odd pairs) in [1, n]^k, so it lies in
-    [0, n^k]; when n^k < 2^64 it equals its residue mod 2^64, the terms'
-    wrapping uint64 dot. Otherwise the dot runs over Python ints.
+    The sum counts k-tuples, odd pairs or j-free m in [1, n]^k, so it lies in
+    [0, n^k]; when n^k < 2^64 it equals its residue mod 2^64, the sum of the
+    terms' wrapping uint64 dots. Otherwise the dots run over Python ints.
     """
-    s = isqrt(n)
-    mertens = _mertens_at_quotients(n, _table_size(n))
-    w = shared_tables(s).mu[1 : s + 1].astype(np.int64)
-    i = np.arange(1, n // (s + 1) + 2, dtype=np.int64)
-    q = np.concatenate([n // np.arange(1, s + 1, dtype=np.int64), i[:-1]])
-    if odd:
-        w[1::2] = 0
-        W = _odd_mertens(mertens, n, i)
-        q = (q + 1) // 2
-    else:
-        W = mertens(i)
-    a = np.concatenate([w, W[:-1] - W[1:]])
-    keep = np.flatnonzero(a)
-    a, q = a[keep], q[keep]
-    if n**k < _MOD:
-        return int(np.dot(a.view(np.uint64), _power(q.view(np.uint64), k)))
-    return int(np.dot(a.astype(object), _power(q.astype(object), k)))
+    L = _table_size(n, j)
+    D = isqrt(n) if j == 1 else L
+    i = np.arange(1, n // (D + 1) ** j + 2, dtype=np.int64)
+    mertens = _mertens_at_quotients(n, L, j)
+    W = _odd_mertens(mertens, n, i) if odd else mertens(i)
+    lanes = np.uint64 if n**k < _MOD else object
+
+    def dot(a: np.ndarray, q: np.ndarray) -> int:
+        q = (q + 1) // 2 if odd else q
+        return int(np.dot(a.astype(lanes), _power(q.astype(lanes), k)))
+
+    keep = np.flatnonzero(W[:-1] - W[1:])
+    total = dot(W[keep] - W[keep + 1], keep + 1)
+    mu = shared_tables(D).mu
+    for lo in range(1, D + 1, _FLOOR_BLOCK):
+        d = np.flatnonzero(mu[lo : min(lo + _FLOOR_BLOCK, D + 1)]) + lo
+        d = d[d % 2 == 1] if odd else d
+        # d^j <= n, so below 2^64 the quotients are exact in uint64 lanes
+        total += dot(mu[d], n // _power(d.astype(np.uint64 if n < _MOD else object), j))
+    return total % _MOD if lanes is np.uint64 else total
 
 
 def totient_sum(n: int) -> int:
@@ -261,10 +271,7 @@ def ktuple_coprime_count(n: int, k: int) -> DensityResult:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ref = constants.reference_constant("ktuple", k=k).value
-    if n == 1:
-        return _result("ktuple", n, 1, 1, ref)
-    num = _mobius_sum(n, k)
-    return _result("ktuple", n, num, n**k, ref)
+    return _result("ktuple", n, _mobius_sum(n, k), n**k, ref)
 
 
 def pairwise_coprime_triple_count(n: int) -> DensityResult:
@@ -305,28 +312,15 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
 
 
 def kfree_count(n: int, j: int = 2) -> DensityResult:
-    """Exact count of m <= n divisible by no j-th power of a prime.
-
-    The count is the sum of mu(d) * (n // d^j) over d <= n^(1/j), one dot
-    per block of _FLOOR_BLOCK values of d. It lies in [0, n], so below 2^64
-    it is its residue mod 2^64: wrapping uint64 dots (d^j <= n), reduced
-    once. From 2^64 on, n // d^j no longer fits a word: Python-int lanes.
-    """
+    """Exact count of m <= n divisible by no j-th power of a prime: the
+    Möbius sum of n // d^j, from a base table of about n^(2/(2j+1)) entries."""
     if not 2 <= j <= 16:
         raise ValueError(f"j must be in [2, 16], got {j}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ref = constants.reference_constant("kfree", j=j).value
-    dmax = iroot(n, j)
-    mu = shared_tables(dmax).mu[: dmax + 1]
-    lanes = np.uint64 if n < _MOD else object
-    num = 0
-    for lo in range(1, dmax + 1, _FLOOR_BLOCK):
-        w = mu[lo : lo + _FLOOR_BLOCK]
-        d = np.flatnonzero(w)
-        num += int(np.dot(w[d].astype(lanes), n // _power((d + lo).astype(lanes), j)))
     kind = "squarefree" if j == 2 else "kfree"
-    return _result(kind, n, num % _MOD if n < _MOD else num, n, ref)
+    return _result(kind, n, _mobius_sum(n, 1, j=j), n, ref)
 
 
 def squarefree_count(n: int) -> DensityResult:
@@ -431,6 +425,8 @@ def iroot(x: int, k: int) -> int:
     """
     if x < 0 or k < 1:
         raise ValueError(f"need x >= 0 and k >= 1, got x={x}, k={k}")
+    if k == 1:
+        return x
     if x.bit_length() <= k:  # x < 2^k, root 0 or 1; also spares Newton a huge r^(k-1)
         return min(x, 1)
     r = 1 << -(-x.bit_length() // k)

@@ -172,8 +172,8 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 def _run_batches(trials, seed, batch_fn, threads):
     """Sum of batch_fn over the batches. Each has its own seed, so the sum
-    does not depend on the workers; a pool starts a thread per submitted
-    batch while none is idle, so they are at most the batches and the CPUs."""
+    does not depend on the workers (at most the threads, batches and CPUs);
+    the pool gets 64 batches per worker at a time, so memory stays flat."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     nb = -(-trials // BATCH_SIZE)
@@ -186,7 +186,8 @@ def _run_batches(trials, seed, batch_fn, threads):
     if workers <= 1:
         return sum(one(b) for b in range(nb))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(one, range(nb)))
+        step = 64 * workers
+        return sum(sum(pool.map(one, range(lo, min(lo + step, nb)))) for lo in range(0, nb, step))
 
 
 def _finish(kind, successes, trials, seed, params) -> McEstimate:

@@ -69,7 +69,7 @@ def test_zeta_certificate_holds():
     with mp.workdps(50):
         exact = {2: mp.pi**2 / 6, 4: mp.pi**4 / 90, 6: mp.pi**6 / 945}
         for k, true in exact.items():
-            for eps in (1e-6, 1e-9, 1e-12, 1e-14):
+            for eps in (1e-6, 1e-9, 1e-12, 1e-14, 1e-15):
                 cv = zeta(k, eps)
                 assert cv.abs_error_bound <= eps
                 assert abs(mp.mpf(cv.value) - true) <= cv.abs_error_bound
@@ -80,8 +80,11 @@ def test_zeta_errors():
         zeta(1)
     with pytest.raises(ValueError):
         zeta(65)
+    # refused only below the certified bound, about 1.9e-16 at k = 2
     with pytest.raises(PrecisionError):
-        zeta(2, 1e-15)
+        zeta(2, 1e-17)
+    with pytest.raises(PrecisionError):
+        inv_zeta(2, 1e-17)
 
 
 def test_inv_zeta():
@@ -190,8 +193,11 @@ def test_gaussian_constant():
 
 
 def test_catalan_errors():
+    # refused only below the certified bounds, about 1.0e-16 and 6.6e-16
     with pytest.raises(PrecisionError):
-        catalan(1e-13)
+        catalan(1e-17)
+    with pytest.raises(PrecisionError):
+        gaussian_coprime_constant(1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +304,7 @@ def test_certificate_against_mpmath_oracle(name, eps):
 #: Bounds of the code that CRVZ and fsum replaced (Euler-Maclaurin zeta, a
 #: plain alternating series for G, numpy pairwise sums), which no bound may
 #: exceed. zeta and inv_zeta: the least over k = 2..64, the same at every eps.
+#: That code refused eps below 1e-14 (zeta), 1e-12 (G) and 2e-12 (gaussian).
 OLD_BOUNDS = {
     "zeta": 8.8832297998979e-16,
     "inv_zeta": 1.1103675849148221e-15,
@@ -339,18 +346,19 @@ def test_zeta_and_inv_zeta_against_oracle_at_every_eps():
         true = oracle.zeta(k)
         with mp.workdps(oracle.DPS):
             inverse = 1 / true
-        for eps in eps_grid(1e-14):
+        for eps in eps_grid(1e-15):
             assert_oracle(zeta(k, eps), true, eps, OLD_BOUNDS["zeta"])
-        for eps in eps_grid(2e-14):
             assert_oracle(inv_zeta(k, eps), inverse, eps, OLD_BOUNDS["inv_zeta"])
 
 
 def test_catalan_and_gaussian_against_oracle_at_every_eps():
-    assert eps_grid(1e-12) == list(OLD_BOUNDS["catalan"])
-    for eps, old in OLD_BOUNDS["catalan"].items():
+    # below the old floors only eps bounds the bound
+    assert set(OLD_BOUNDS["catalan"]) <= set(eps_grid(1e-15))
+    for eps in eps_grid(1e-15):
+        old = OLD_BOUNDS["catalan"].get(eps, math.inf)
         assert_oracle(catalan(eps), oracle.catalan(), eps, old)
-    assert eps_grid(2e-12) == list(OLD_BOUNDS["gaussian"])
-    for eps, old in OLD_BOUNDS["gaussian"].items():
+    for eps in sorted({*eps_grid(1e-15), *OLD_BOUNDS["gaussian"]}, reverse=True):
+        old = OLD_BOUNDS["gaussian"].get(eps, math.inf)
         assert_oracle(gaussian_coprime_constant(eps), oracle.gaussian(), eps, old)
 
 

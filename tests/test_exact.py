@@ -1,7 +1,13 @@
+import functools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -32,6 +38,7 @@ from coprime_lab.exact import (
 from coprime_lab.sieve import build_sieve
 
 SIX_OVER_PI2 = 6 / math.pi**2
+SRC = str(Path(exact.__file__).resolve().parents[1])
 
 
 def per_d_sum(mu, n, g, step=1):
@@ -101,6 +108,23 @@ def test_quotient_recurrence_matches_brute_force(data, n):
     i = np.arange(1, n + 2)  # every quotient point of n, and 0 at i = n + 1
     assert mert(i).tolist() == M_3000[n // i].tolist()
     assert exact._odd_mertens(mert, n, i).tolist() == M_ODD_3000[n // i].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), j=st.integers(2, 4))
+def test_root_quotient_recurrence_matches_brute_force(data, j):
+    # M at x_k = iroot(n // k, j) for k <= K = n // (L + 1)^j, then M(L), and
+    # the j-free count from the same base L; n <= 1e7 keeps K below 3000
+    n = data.draw(st.integers(1, min(3000**j, 10**7)), label="n")
+    x1 = iroot(n, j)
+    base = data.draw(st.integers(math.isqrt(x1), x1), label="base size")
+    K = n // (base + 1) ** j
+    mert = exact._mertens_at_quotients(n, base, j)
+    expect = [M_3000[iroot(n // k, j)] for k in range(1, K + 1)] + [M_3000[base]]
+    assert mert(np.arange(1, K + 2)).tolist() == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_table_size", lambda n, j: base)
+        assert exact._mobius_sum(n, 1, j=j) == kfree_per_d(n, j)
 
 
 def test_totient_and_mertens_oeis_powers_of_ten():
@@ -514,6 +538,7 @@ def test_kfree_brute():
                 assert kfree_count(n, j).numerator == acc, (n, j)
 
 
+@functools.lru_cache(maxsize=None)
 def kfree_per_d(n, j):
     """sum of mu(d) * (n // d^j) over d <= n^(1/j), one Python int at a time."""
     dmax = iroot(n, j)
@@ -521,12 +546,21 @@ def kfree_per_d(n, j):
     return sum(mu[d] * (n // d**j) for d in range(1, dmax + 1) if mu[d])
 
 
-@pytest.mark.parametrize("n", [10**6, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 5, 10**21])
+def assert_kfree_warm_and_cold(n, j):
+    """kfree_count from the table the process has (a summed prefix longer than
+    n^(1/j) leaves nothing to the recurrence) and from a cold base."""
+    assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_table_size", lambda n, j: exact._base_size(n, j))
+        assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j, "cold")
+
+
+@pytest.mark.parametrize("n", [10**6, 10**12, 2**63 - 1, 2**64 - 1, 2**64, 2**64 + 5, 10**21])
 def test_kfree_matches_per_d_oracle(n):
     # below 2^64 the count is its uint64 residue; from 2^64 on the quotients
     # n // d^j no longer fit a machine word
-    for j in {10**6: (2, 3), 2**64 - 1: (4,), 2**64: (4,)}.get(n, (3,)):
-        assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j)
+    for j in {10**6: (2, 3), 10**12: (2,), 2**64 - 1: (4,), 2**64: (4,)}.get(n, (3,)):
+        assert_kfree_warm_and_cold(n, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -537,7 +571,47 @@ def test_kfree_matches_per_d_oracle(n):
 @example(n=2**64 - 1, j=5)
 @example(n=2**64, j=5)
 def test_kfree_matches_per_d_oracle_near_2_pow_64(n, j):
-    assert kfree_count(n, j).numerator == kfree_per_d(n, j)
+    assert_kfree_warm_and_cold(n, j)
+
+
+#: Squarefree counts Q(10^k) for k = 12..17 (OEIS A071172).
+SQUAREFREE_POW10 = [607927102274, 6079271018294, 60792710185947, 607927101854103,
+                    6079271018540405, 60792710185403794]
+
+
+def test_squarefree_oeis_powers_of_ten():
+    for k, count in enumerate(SQUAREFREE_POW10, start=12):
+        assert squarefree_count(10**k).numerator == count, k
+
+
+def fresh_squarefree(ns):
+    """Squarefree counts at ns, in order, and the peak RSS in MB, from a fresh
+    interpreter under the default sieve cap. The peak is VmHWM, which starts
+    afresh at exec (ru_maxrss keeps the parent's peak across it)."""
+    code = (
+        "import json, re, sys\n"
+        "from coprime_lab import exact\n"
+        "counts = [exact.squarefree_count(int(n)).numerator for n in sys.argv[1:]]\n"
+        "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+        "print(json.dumps([counts, int(peak.group(1)) / 1024]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != sieve.SIEVE_LIMIT_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, ns)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_squarefree_oeis_in_a_cold_process():
+    # earlier tests leave long prefixes that skip the recurrence; here 10^17
+    # runs alone, and then each n sums a longer prefix than the last, so
+    # every count takes its cold route
+    counts, rss_mb = fresh_squarefree([10**17])
+    assert counts == SQUAREFREE_POW10[5:]
+    assert rss_mb < 200
+    counts, _ = fresh_squarefree([10**k for k in range(12, 17)])
+    assert counts == SQUAREFREE_POW10[:5]
 
 
 def test_kfree_sieve_oracle_1e6():
@@ -881,7 +955,7 @@ def test_density_result_value_is_exact_quotient():
         (ktuple_coprime_count, (2_642_246, 3)),
         (ktuple_coprime_count, (84, 10)),
         (ktuple_coprime_count, (85, 10)),
-        # squarefree n >= 2^64 would read mu past 2^32, beyond the sieve cap
+        # squarefree n >= 2^64 would need a base table past 4e7, beyond the sieve cap
         (squarefree_count, (10**12,)),
         (kfree_count, (2**64 - 1, 4)),
         (kfree_count, (2**64, 4)),

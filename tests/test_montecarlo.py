@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -274,6 +275,21 @@ def test_pool_workers_bounded_by_batches_and_cpus(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     assert estimate_coprime_pair(10**6, trials, seed=21, threads=100_000).successes == serial
     assert workers == []
+
+
+def test_pool_memory_does_not_grow_with_the_batch_count(monkeypatch):
+    # submitting every batch before the first result held about 1.7 KB per
+    # batch, 16 MB for these 10^4 trivial batches
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    nb = 10**4
+    tracemalloc.start()
+    try:
+        total = montecarlo._run_batches(nb * BATCH_SIZE, 1, lambda stream, cnt: 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == nb
+    assert peak < 2**20
 
 
 def test_pair_covers_exact_density():
