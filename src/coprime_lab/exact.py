@@ -18,13 +18,16 @@ import numpy as np
 
 from . import constants
 from .errors import ResourceLimitError
-from .sieve import primes_up_to, shared_tables, summatory_prefixes
+from .sieve import primes_up_to, shared_tables
 
 #: Largest n accepted by the brute-force pairwise-triple counter.
 TRIPLE_BRUTE_BOUND = 2000
 
 #: Largest x prime_density accepts: pi(1e11) takes about 1 s (2 vCPUs).
 PRIME_DENSITY_MAX = 10**11
+
+#: Largest n f_gcd_density accepts: sqrt(2)*n at 1e7 takes about 2 s (2 vCPUs).
+FGCD_MAX = 10**7
 
 #: Lanes per block of the vectorised sums (the Möbius sums' term-by-term
 #: part, visible, fgcd), which bounds their working memory at any size.
@@ -72,12 +75,11 @@ def _base_size(n: int, j: int = 1) -> int:
 
 
 def _table_size(n: int, j: int = 1) -> int:
-    """Base table size the public routes use: all of iroot(n, j) when small,
-    else _base_size(n, j) or the longest prefix the process has already
-    summed, whichever is larger (so a cold process's route is fixed)."""
+    """Base table size the public routes use: the shared table's limit, at
+    least _base_size(n, j) (all of iroot(n, j) when small), at most iroot(n, j)."""
     top = iroot(n, j)
     cold = min(top, max(_SMALL_TABLE, _base_size(n, j)))
-    return min(top, len(summatory_prefixes(cold)[0]) - 1)
+    return min(top, shared_tables(cold).limit)
 
 
 def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.ndarray:
@@ -128,7 +130,7 @@ def _totient_at(n: int, L: int) -> int:
     |Phi(n) - 3n^2/pi^2| <= 2n(ln n + 2) lies far inside 2^63 for every n a
     base table under the sieve cap can reach.
     """
-    prefix = summatory_prefixes(L)[0].view(np.uint64)
+    prefix = shared_tables(L).phi_sum.view(np.uint64)
     if n <= L:
         return int(prefix[n])
     big = _quotient_values(n, L, prefix, lambda m: m * (m + 1) // 2)
@@ -143,7 +145,7 @@ def _mertens_at_quotients(n: int, L: int, j: int = 1):
     M is the Mertens function, M(m) = 1 - sum of M(m // d) over d >= 2;
     |M(m)| <= m < 2^63, so its uint64 residues read as int64 are exact.
     """
-    prefix = summatory_prefixes(L)[1]
+    prefix = shared_tables(L).mu_sum
     big = _quotient_values(n, L, prefix, lambda m: 1, j).view(np.int64)
     K = len(big) - 1
 
@@ -544,6 +546,8 @@ def f_gcd_density(n: int, spec: FunctionSpec) -> DensityResult:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > FGCD_MAX:
+        raise ResourceLimitError(f"fgcd counting capped at n = {FGCD_MAX:.0e}, got {n}")
     ref = constants.reference_constant("fgcd").value
     A, p, B, q = spec.A, spec.p, spec.B, spec.q
     if q == 1:  # alpha = A/B: gcd(m, k*m + t) = gcd(m, t), so A mod B counts alike

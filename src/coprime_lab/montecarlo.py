@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 #: Fixed batch size for deterministic parallel aggregation.
 BATCH_SIZE = 1 << 16
 
@@ -57,6 +59,12 @@ _WORD_BLOCK = 1 << 15
 
 #: Largest m that RngStream.uniform_below accepts.
 _DRAW_MAX = 1 << 62
+
+#: Largest trials per estimator, about a minute each on one thread (2 vCPUs)
+#: at 0.11 us a trial for pairs (range_max 1e9) and triples (1e6), 0.14 us for
+#: Gaussian pairs (box 1000) and 2.3 us for determinant pairs (dim 6, entries
+#: below 1000; dim 8 costs six times as much).
+TRIALS_MAX = {"pair": 5 * 10**8, "triple3": 5 * 10**8, "gaussian": 4 * 10**8, "det": 2 * 10**7}
 
 
 def mix64(z: int) -> int:
@@ -190,6 +198,11 @@ def _run_batches(trials, seed, batch_fn, threads):
         return sum(sum(pool.map(one, range(lo, min(lo + step, nb)))) for lo in range(0, nb, step))
 
 
+def _check_trials(kind: str, trials: int) -> None:
+    if trials > TRIALS_MAX[kind]:
+        raise ResourceLimitError(f"{kind} trials capped at {TRIALS_MAX[kind]:.0e}, got {trials}")
+
+
 def _finish(kind, successes, trials, seed, params) -> McEstimate:
     lo, hi = wilson_interval(successes, trials)
     params = dict(params)
@@ -236,6 +249,7 @@ def _kept(keep: np.ndarray, *arrays: np.ndarray) -> list:
 def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered pairs from [1, M]^2; success when gcd = 1."""
     _check_range_max(range_max)
+    _check_trials("pair", trials)
     lanes = _gcd_lanes(range_max)
 
     def batch(stream, cnt):
@@ -254,6 +268,7 @@ def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int =
 def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered triples from [1, M]^3; success when pairwise coprime."""
     _check_range_max(range_max)
+    _check_trials("triple3", trials)
     lanes = _gcd_lanes(range_max)
 
     def batch(stream, cnt):
@@ -316,6 +331,7 @@ def estimate_gaussian_coprime(box_half_width: int, trials: int, seed: int, threa
         raise ValueError(f"box_half_width must be >= 1, got {box_half_width}")
     if box_half_width > 1 << 30:
         raise ValueError("box_half_width above 2^30 would overflow the gcd kernel")
+    _check_trials("gaussian", trials)
 
     def draw_nonzero(stream, cnt):
         re = stream.uniform_signed(box_half_width, cnt)
@@ -614,6 +630,7 @@ def estimate_det_coprime(
     if not 2 <= entry_max <= top:
         bound = "2^61 with symmetric entries" if symmetric_entries else "2^62"
         raise ValueError(f"entry_max must be in [2, {bound}], got {entry_max}")
+    _check_trials("det", trials)
     emax_abs = entry_max - 1
     route, primes = _det_route(dim, emax_abs)
 

@@ -1,17 +1,17 @@
-"""Multiplicative-function tables mu and phi, and the primes read off them.
+"""Multiplicative-function tables mu and phi, their prefix sums, and primes.
 
 Everything downstream that counts exactly, and every prime the package
 reads, comes from one immutable :class:`SieveTables` held by
-:func:`shared_tables`, and the summatory recurrences start from its prefix
-sums, held by :func:`summatory_prefixes`. Vectorised numpy passes over the
-primes up to sqrt(N) build it in a few seconds for N = 1e7..1e8.
+:func:`shared_tables`; the summatory recurrences start from that table's
+own prefix sums, each summed on its first read. Vectorised numpy passes
+over the primes up to sqrt(N) build it in a few seconds for N = 1e7..1e8.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -32,13 +32,33 @@ SIEVE_LIMIT_ENV = "COPRIME_LAB_SIEVE_LIMIT"
 class SieveTables:
     """Arrays indexed 1..limit (index 0 is unused and zeroed).
 
-    mu[n] in {-1, 0, +1}, phi[n] = Euler totient.
-    Arrays are marked read-only; a built table may be shared across threads.
+    mu[n] in {-1, 0, +1}, phi[n] = Euler totient. Their prefix sums mu_sum
+    and phi_sum are summed once per table, on first read. Arrays are marked
+    read-only; a built table may be shared across threads.
     """
 
     limit: int
     mu: np.ndarray
     phi: np.ndarray
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def mu_sum(self) -> np.ndarray:
+        """M(m) = mu(1) + ... + mu(m) for m = 0..limit, int32 as |M(m)| <= m < 2^31."""
+        return self._summed("mu", np.int32)
+
+    @property
+    def phi_sum(self) -> np.ndarray:
+        """Phi(m) = phi(1) + ... + phi(m), int64 as Phi(m) <= m(m + 1)/2 < 2^63."""
+        return self._summed("phi", np.int64)
+
+    def _summed(self, name: str, dtype) -> np.ndarray:
+        with _lock:
+            if name not in self._sums:
+                total = getattr(self, name).astype(dtype)  # in place: no cast temporary
+                self._sums[name] = np.cumsum(total, out=total)
+                total.flags.writeable = False
+            return self._sums[name]
 
 
 def build_sieve(limit: int) -> SieveTables:
@@ -85,9 +105,7 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 def configured_limit() -> int:
     """Cap for implicitly built tables (env override, else default)."""
-    raw = os.environ.get(SIEVE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SIEVE_LIMIT
+    raw = os.environ.get(SIEVE_LIMIT_ENV, str(DEFAULT_SIEVE_LIMIT))
     try:
         val = int(raw)
     except ValueError as exc:
@@ -97,71 +115,31 @@ def configured_limit() -> int:
     return val
 
 
-#: Entries of the smallest shared table, about 5 KB.
-_MIN_TABLE = 1024
-
 _shared: SieveTables | None = None
-#: (Phi, M) with Phi(m) = phi(1) + ... + phi(m) as int64 and the Mertens
-#: function M(m) = mu(1) + ... + mu(m) as int32, for m = 0..limit.
-_prefixes: tuple[np.ndarray, np.ndarray] | None = None
-#: Guards _shared and _prefixes; reentrant, as summatory_prefixes grows the
-#: table through shared_tables while it holds the lock.
-_shared_lock = threading.RLock()
+#: Guards _shared and the prefix sums of every table.
+_lock = threading.Lock()
 
 
-def _cap(min_limit: int) -> int:
-    """The configured cap, never below _MIN_TABLE; refuses a min_limit above it."""
-    cap = max(configured_limit(), _MIN_TABLE)
+def shared_tables(min_limit: int) -> SieveTables:
+    """Process-wide cached tables covering at least min_limit: the one cache.
+
+    Grows geometrically up to the configured cap, so callers with increasing
+    needs do not rebuild from scratch each time, and refuses a min_limit
+    above the cap before any work. Thread-safe: callers that need a larger
+    table at the same time build it once. Growth replaces the table, prefix
+    sums included, so the cache stays within :func:`configured_limit`: 5
+    bytes per index (int8 mu plus int32 phi), about 50 MB at the default cap
+    of 1e7, plus 4 once a count reads M and 8 more once one reads Phi.
+    """
+    global _shared
+    cap = configured_limit()
     if min_limit > cap:
         raise ResourceLimitError(
             f"operation needs sieve tables up to {min_limit}, above the configured "
             f"limit {cap}; raise {SIEVE_LIMIT_ENV} to allow it"
         )
-    return cap
-
-
-def shared_tables(min_limit: int) -> SieveTables:
-    """Process-wide cached tables covering at least min_limit.
-
-    Grows geometrically up to the configured cap so repeated callers with
-    increasing needs do not rebuild from scratch each time. Thread-safe:
-    callers that need a larger table at the same time build it once. Under
-    any cap the smallest table, _MIN_TABLE entries, is built on request.
-
-    The cache holds one table: growth replaces it rather than adding to it,
-    so its size is bounded by :func:`configured_limit`, 5 bytes per index
-    (int8 mu plus int32 phi), about 50 MB at the default cap of 1e7. The
-    prefix sums of :func:`summatory_prefixes` add 12 bytes per index of the
-    longest base summed, which is at most the table's limit.
-    """
-    global _shared
-    cap = _cap(min_limit)
-    with _shared_lock:
+    with _lock:
         if _shared is None or _shared.limit < min_limit:
-            grown = 2 * _shared.limit if _shared is not None else 0
-            _shared = build_sieve(min(max(min_limit, grown, _MIN_TABLE), cap))
+            grown = 2 * _shared.limit if _shared is not None else 1
+            _shared = build_sieve(min(max(min_limit, grown), cap))
         return _shared
-
-
-def summatory_prefixes(min_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Process-wide (Phi, M) over m = 0..limit with limit >= min_limit.
-
-    Phi(m) = sum of phi(k) and M(m) = sum of mu(k) over k <= m, read-only
-    int64 and int32 arrays: Phi(m) <= m(m + 1)/2 < 2^63 and |M(m)| <= m <
-    2^31 for every m <= MAX_SIEVE_LIMIT. Summed once from the shared table
-    and kept when the table is replaced, as a prefix does not depend on the
-    table that produced it. A growth sums exactly up to min_limit. Refuses,
-    as shared_tables does, a min_limit above the configured cap, whatever
-    the cache holds. Thread-safe.
-    """
-    global _prefixes
-    _cap(min_limit)
-    with _shared_lock:
-        if _prefixes is None or len(_prefixes[0]) <= min_limit:
-            tables = shared_tables(min_limit)
-            phi_sum = np.cumsum(tables.phi[: min_limit + 1], dtype=np.int64)
-            mu_sum = np.cumsum(tables.mu[: min_limit + 1], dtype=np.int32)
-            for arr in (phi_sum, mu_sum):
-                arr.flags.writeable = False
-            _prefixes = (phi_sum, mu_sum)
-        return _prefixes

@@ -133,6 +133,40 @@ def test_mc_size_refused_before_any_batch(argv, message, monkeypatch, capsys):
     assert capsys.readouterr().err == f"invalid arguments: {message}\n"
 
 
+@pytest.mark.parametrize("op", list(cli.MC))
+def test_mc_trials_cap_refused_before_any_batch(op, monkeypatch):
+    batches = []
+    monkeypatch.setattr(montecarlo, "_run_batches", lambda *a: batches.append(a) or 0)
+    cap = montecarlo.TRIALS_MAX[op]
+    assert run_lines(["mc", op, "--trials", str(cap + 1)]) == (3, []) and batches == []
+    code, _ = run_lines(["mc", op, "--trials", str(cap)])
+    assert code == 0 and len(batches) == 1
+
+
+def test_every_experiment_at_size_1e30_refused_before_any_work():
+    # each exact entry at size 10^30 (other flags 2), and each mc entry with
+    # 10^30 trials and then at size 10^30, in a fresh process one at a time
+    # so that a run that starts working fails on the wall time
+    big, wall_s = str(10**30), 5.0
+    runs = []
+    for op, e in cli.EXACT.items():
+        others = [a for f in e.flags[1:] if f != "f" for a in (f"--{f}", "2")]
+        runs.append(["exact", op, f"--{e.flags[0]}", big, *others])
+    for op, e in cli.MC.items():
+        runs += [["mc", op, flag, big] for flag in ("--trials", "--" + e.n.replace("_", "-"))]
+    slow, wrong = [], []
+    for argv in runs:
+        try:
+            proc = subprocess.run([sys.executable, "-m", "coprime_lab.cli", *argv],
+                                  capture_output=True, text=True, timeout=wall_s)
+        except subprocess.TimeoutExpired:
+            slow.append(" ".join(argv))
+            continue
+        if proc.returncode not in (2, 3) or proc.stdout:
+            wrong.append((" ".join(argv), proc.returncode, proc.stderr))
+    assert (slow, wrong) == ([], [])
+
+
 def test_fgcd_cli_forms():
     (rec,) = run_json(["exact", "fgcd", "--n", "10", "--f", "alpha_n", "--alpha", "sqrt2"])
     assert rec["numerator"] == 6
@@ -237,10 +271,12 @@ def test_sieve_limit_env_respected(monkeypatch):
     assert rec["numerator"] == 5761455
     code, _ = run_lines(["exact", "prime-density", "--x", "100020001"])
     assert code == 3
-    # the smallest table is built under any limit, so the Euler products'
-    # head primes still fit
+    # the limit is exactly the cap it names: prime-density at 1e6 reads
+    # primes up to 1000, above 500, while the constants read no table
     monkeypatch.setenv("COPRIME_LAB_SIEVE_LIMIT", "500")
     monkeypatch.setattr(sieve, "_shared", None)
+    code, _ = run_lines(["exact", "prime-density", "--x", "1000000"])
+    assert code == 3
     code, _ = run_lines(["const", "q3"])
     assert code == 0
 

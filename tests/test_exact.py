@@ -166,14 +166,14 @@ def test_answers_do_not_depend_on_cached_prefixes(monkeypatch):
         out = []
         for n in ns:
             if reset:
-                monkeypatch.setattr(sieve, "_prefixes", None)
+                monkeypatch.setattr(sieve, "_shared", None)
             out.append((totient_sum(n), mertens(n) if n <= 10**9 else None))
         return out
 
     cold = answers(reset=True)
-    monkeypatch.setattr(sieve, "_prefixes", None)
+    monkeypatch.setattr(sieve, "_shared", None)
     totient_sum(10**9)
-    assert len(sieve._prefixes[0]) - 1 == 10**6
+    assert len(sieve._shared.phi_sum) - 1 == 10**6
     warm = answers(reset=False)
     assert cold == warm
     assert [phi for phi, _ in cold] == PHI_POW10 + list(PHI_PAST_INT64.values())
@@ -412,7 +412,7 @@ def test_answers_do_not_depend_on_the_route(data, n):
         # every n runs the recurrence from a base of about n^(2/3) or the
         # longest prefix the warm-up left, as large n do
         mp.setattr(exact, "_SMALL_TABLE", 1)
-        mp.setattr(sieve, "_prefixes", None)
+        mp.setattr(sieve, "_shared", None)
         for m in warm_up:
             totient_sum(m)
         assert coprime_pair_count(n).numerator == PHI_3000[n] - 1
@@ -604,12 +604,13 @@ def fresh_squarefree(ns):
 
 
 def test_squarefree_oeis_in_a_cold_process():
-    # earlier tests leave long prefixes that skip the recurrence; here 10^17
-    # runs alone, and then each n sums a longer prefix than the last, so
-    # every count takes its cold route
+    # earlier tests leave a long table that skips the recurrence; here 10^17
+    # runs alone, and then each n asks for more than twice the last table,
+    # so every count takes its cold route. 10^17 reads M and never Phi: with
+    # Phi summed too, it peaks at 156 MB.
     counts, rss_mb = fresh_squarefree([10**17])
     assert counts == SQUAREFREE_POW10[5:]
-    assert rss_mb < 200
+    assert rss_mb < 130
     counts, _ = fresh_squarefree([10**k for k in range(12, 17)])
     assert counts == SQUAREFREE_POW10[:5]
 
@@ -668,6 +669,18 @@ def test_visible_matches_row_scan():
     for radius in radii:
         r = visible_points_in_disk(radius)
         assert (r.numerator, r.denominator) == row_scan_visible(radius), radius
+
+
+def test_fgcd_cap_refused_before_any_block(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("floored a block")
+
+    spec = FunctionSpec.sqrt2_times_n()
+    monkeypatch.setattr(exact, "_floor_lanes", no_block)
+    with pytest.raises(ResourceLimitError, match="capped at n = 1e"):
+        f_gcd_density(exact.FGCD_MAX + 1, spec)
+    with pytest.raises(AssertionError, match="floored a block"):
+        f_gcd_density(exact.FGCD_MAX, spec)
 
 
 def test_visible_cap_refused_before_any_table(monkeypatch):
@@ -935,7 +948,7 @@ def test_prime_density_reads_a_sqrt_table(monkeypatch):
     monkeypatch.setattr(sieve, "build_sieve", recording_build)
     r = prime_density(10**7)
     assert (r.numerator, r.denominator) == (664579, 10**7)
-    assert limits and max(limits) <= max(1024, math.isqrt(10**7))
+    assert limits and max(limits) <= math.isqrt(10**7)
 
 
 def test_density_result_value_is_exact_quotient():

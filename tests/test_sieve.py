@@ -243,35 +243,51 @@ def test_shared_tables_built_once_by_two_threads(monkeypatch):
 
 
 def test_prefix_cache_grown_by_two_threads(monkeypatch):
-    # bases 10^4, 46,416, 96,549 and 215,443: each query grows the cache
+    # bases 10^4, 46,415, 96,548 and 215,443: each query grows the table
     queries = [(coprime_pair_count, (10**6,)), (ktuple_coprime_count, (10**7, 3)),
                (ktuple_coprime_count, (3 * 10**7, 3)), (coprime_pair_count, (10**8,))]
     serial = [f(*args).numerator for f, args in queries]
-    real_tables, growths = sieve.shared_tables, []
+    builds = []
 
-    def slow_small_tables(min_limit):
-        # summatory_prefixes reads the table through here only to grow the
-        # cache. A small growth is held open while the other thread grows it
-        # to 215,443, so an unguarded one would land last and shrink it.
-        growths.append(min_limit)
-        tables = real_tables(min_limit)
-        if min_limit < 10**5:
+    def slow_small_build(limit):
+        # a small build is held open while the other thread grows the table
+        # to 215,443, so an unguarded one would land last and shrink it
+        builds.append(limit)
+        if limit < 10**5:
             time.sleep(0.05)
-        return tables
+        return build_sieve(limit)
 
     monkeypatch.setattr(sieve, "_shared", None)
-    monkeypatch.setattr(sieve, "_prefixes", None)
-    monkeypatch.setattr(sieve, "shared_tables", slow_small_tables)
+    monkeypatch.setattr(sieve, "build_sieve", slow_small_build)
+
     def work(i):
-        # thread 0 grows the cache query by query; thread 1 starts at the
-        # top once thread 0's first, small growth is under way
+        # thread 0 grows the table query by query; thread 1 starts at the
+        # top once thread 0's first, small build is under way
         if i:
             time.sleep(0.01)
         return [f(*args).numerator for f, args in (queries if i == 0 else queries[::-1])]
 
     results = run_in_two_threads(work)
     assert results == [serial, serial[::-1]]
-    # under the lock a growth starts only past the prefix it finds and
-    # leaves one at least as long as it asked for, so the requests rise
-    # strictly; a shrunk cache would be grown again to a limit it once had
-    assert growths == sorted(set(growths)) and len(sieve._prefixes[0]) - 1 == 215_443
+    # under the lock a build starts only past the table it finds and leaves
+    # one at least as large as it asked for, so the builds rise strictly; a
+    # shrunk table would be built again to a limit it once had
+    assert builds == sorted(set(builds)) and sieve._shared.limit == 215_443
+
+
+def test_prefix_sums_summed_once_by_two_threads(monkeypatch):
+    tables, sums = build_sieve(5000), []
+    real_cumsum = np.cumsum
+
+    def slow_cumsum(a, *args, **kwargs):
+        sums.append(a.dtype)
+        time.sleep(0.05)  # keeps the sum open while the other thread reads
+        return real_cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", slow_cumsum)
+    results = run_in_two_threads(lambda i: (tables.mu_sum, tables.phi_sum))
+    assert sums == [np.int32, np.int64]
+    assert results[0][0] is results[1][0] and results[0][1] is results[1][1]
+    monkeypatch.undo()
+    assert np.array_equal(tables.mu_sum, np.cumsum(tables.mu, dtype=np.int64))
+    assert np.array_equal(tables.phi_sum, np.cumsum(tables.phi, dtype=np.int64))
