@@ -29,6 +29,13 @@ PRIME_DENSITY_MAX = 10**11
 #: Largest n f_gcd_density accepts: sqrt(2)*n at 1e7 takes about 2 s (2 vCPUs).
 FGCD_MAX = 10**7
 
+#: Microseconds that the lanes of one fgcd count sent to floor_f may take
+#: by _floor_f_us, the same 2 s that FGCD_MAX allows the vectorised lanes.
+FGCD_SLOW_BUDGET_US = 2 * 10**6
+
+#: Largest radius visible_points_in_disk accepts: 1e7 takes about 3.5 s (2 vCPUs).
+VISIBLE_MAX = 10**7
+
 #: Lanes per block of the vectorised sums (the Möbius sums' term-by-term
 #: part, visible, fgcd), which bounds their working memory at any size.
 _FLOOR_BLOCK = 1 << 13
@@ -356,8 +363,8 @@ def visible_points_in_disk(radius: int) -> DensityResult:
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    if radius > 10**7:
-        raise ResourceLimitError(f"disk scan capped at radius 1e7, got {radius}")
+    if radius > VISIBLE_MAX:
+        raise ResourceLimitError(f"disk scan capped at radius {VISIBLE_MAX:.0e}, got {radius}")
     ref = constants.reference_constant("visible").value
     mu = shared_tables(radius).mu[: radius + 1]
     Y = np.empty(radius + 1, dtype=np.int32)
@@ -471,13 +478,39 @@ class FunctionSpec:
         return FunctionSpec(1, c.numerator, 1, c.denominator, f"n^{c}")
 
 
+def _floor_bits(spec: FunctionSpec, m: int) -> int:
+    """About the bits of A*m^p, which floor_f refuses past 10^6."""
+    bits = spec.p * m.bit_length()
+    if bits > 1_000_000:
+        raise OverflowError(f"f = {spec.label} at a {m.bit_length()}-bit m is too large to evaluate")
+    return bits
+
+
 def floor_f(spec: FunctionSpec, m: int) -> int:
     """floor(f(m)) for a single m >= 1: iroot(A*m^p // B, q) in exact integers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if spec.p * m.bit_length() > 1_000_000:
-        raise OverflowError(f"f = {spec.label} at a {m.bit_length()}-bit m is too large to evaluate")
+    _floor_bits(spec, m)
     return iroot(spec.A * m**spec.p // spec.B, spec.q)
+
+
+def _floor_f_us(bits: int) -> float:
+    """Microseconds of one floor_f at a bits-bit A*m^p (2 vCPUs), an upper fit
+    from 100 to 150,000 bits: a fixed cost, then the root's long divisions,
+    quadratic in bits."""
+    return 2 + bits / 250 + (bits / 400) ** 2
+
+
+def _unproven_lanes(n: int, A: int, p: int, B: int, q: int) -> int:
+    """How many m <= n _floor_lanes leaves unproven for certain: all of them
+    when max(p, q) + 1 > 1025, else those with r = floor(f(m)) >= 2^52,
+    that is every m from the least m0 with A*m0^p >= B*2^(52q) on."""
+    if max(p, q) + 1 > 1025:
+        return n
+    if A == 0:
+        return 0
+    m0 = iroot(-(-(B << 52 * q) // A) - 1, p) + 1
+    return max(0, n - m0 + 1)
 
 
 def _power(x: np.ndarray, e: int) -> np.ndarray:
@@ -542,16 +575,26 @@ def f_gcd_density(n: int, spec: FunctionSpec) -> DensityResult:
     """Exact density of m <= n with gcd(m, floor(f(m))) = 1.
 
     floor(f(m)) = 0 pairs as gcd(m, 0) = m, so only m = 1 counts there.
-    Lanes that _floor_lanes leaves unproven are counted with floor_f.
+    Lanes that _floor_lanes leaves unproven are counted with floor_f. A count
+    whose certain floor_f lanes would pass FGCD_SLOW_BUDGET_US is refused
+    before any block runs.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > FGCD_MAX:
         raise ResourceLimitError(f"fgcd counting capped at n = {FGCD_MAX:.0e}, got {n}")
-    ref = constants.reference_constant("fgcd").value
+    bits = _floor_bits(spec, n)
     A, p, B, q = spec.A, spec.p, spec.B, spec.q
     if q == 1:  # alpha = A/B: gcd(m, k*m + t) = gcd(m, t), so A mod B counts alike
         A %= B
+    slow = _unproven_lanes(n, A, p, B, q)
+    slow_us = slow * _floor_f_us(bits)
+    if slow_us > FGCD_SLOW_BUDGET_US:
+        raise ResourceLimitError(
+            f"fgcd with f = {spec.label} at n = {n} leaves {slow} lanes to exact roots,"
+            f" about {slow_us / 1e6:.0f} s against a budget of {FGCD_SLOW_BUDGET_US / 1e6:.0f} s"
+        )
+    ref = constants.reference_constant("fgcd").value
     num = 0
     for lo in range(1, n + 1, _FLOOR_BLOCK):
         m = np.arange(lo, min(lo + _FLOOR_BLOCK, n + 1), dtype=np.int64)

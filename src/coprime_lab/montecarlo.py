@@ -6,11 +6,12 @@ combined by integer summation. Results are therefore identical for any
 worker count, and re-running with the same seed reproduces successes
 exactly on any platform.
 
-Every kernel computes on the narrowest exact lanes that a bound on its
-operands allows. The pair and triple gcds run in int32 when range_max <=
-2^31 - 1 and in int64 above, after dropping lanes with two entries even or
-two divisible by 3. The Gaussian gcd runs in int32 when every |coordinate|
-<= 2^15 - 1, as its terms are then at most 2 (2^15 - 1)^2 < 2^31.
+One rule picks the lanes: RngStream.uniform_below(m, count) returns int32
+when m < 2^31 and int64 above, and every kernel computes on the lanes it
+gets. The pair and triple gcds (of values up to range_max) first drop lanes
+with two entries even or two divisible by 3. The Gaussian gcd runs in int32
+when every |coordinate| <= 2^15 - 1, as its terms are then at most
+2 (2^15 - 1)^2 < 2^31, and in int64 above.
 
 Determinant trials need exact integer determinants. Each is a
 division-free minor expansion, with no pivots, computed modulo 2^64 in
@@ -63,8 +64,11 @@ _DRAW_MAX = 1 << 62
 #: Largest trials per estimator, about a minute each on one thread (2 vCPUs)
 #: at 0.11 us a trial for pairs (range_max 1e9) and triples (1e6), 0.14 us for
 #: Gaussian pairs (box 1000) and 2.3 us for determinant pairs (dim 6, entries
-#: below 1000; dim 8 costs six times as much).
+#: below 1000). Costlier determinant routes get fewer, by _det_trial_us.
 TRIALS_MAX = {"pair": 5 * 10**8, "triple3": 5 * 10**8, "gaussian": 4 * 10**8, "det": 2 * 10**7}
+
+#: Microseconds of determinant trials one estimate may take by _det_trial_us.
+DET_BUDGET_US = 60 * 10**6
 
 
 def mix64(z: int) -> int:
@@ -95,52 +99,54 @@ class RngStream:
         self._idx = 0
 
     def words(self, n: int) -> np.ndarray:
+        """The next n words: the splitmix64 finalizer, in place on the counters."""
         z = np.arange(self._idx + 1, self._idx + n + 1, dtype=np.uint64)
         self._idx += n
-        # the finalizer in place on cache-sized blocks of z, t holding each shift
-        t = np.empty(min(n, _WORD_BLOCK), dtype=np.uint64)
-        for lo in range(0, n, _WORD_BLOCK):
-            v = z[lo : lo + _WORD_BLOCK]
-            s = t[: len(v)]
-            v *= _G
-            v += np.uint64(self.seed)
-            v ^= np.right_shift(v, _S30, out=s)
-            v *= _M1
-            v ^= np.right_shift(v, _S27, out=s)
-            v *= _M2
-            v ^= np.right_shift(v, _S31, out=s)
+        t = np.empty_like(z)  # each shift
+        z *= _G
+        z += np.uint64(self.seed)
+        z ^= np.right_shift(z, _S30, out=t)
+        z *= _M1
+        z ^= np.right_shift(z, _S27, out=t)
+        z *= _M2
+        z ^= np.right_shift(z, _S31, out=t)
         return z
 
     def uniform_below(self, m: int, count: int) -> np.ndarray:
-        """count uniform int64 values in [0, m), modulo-bias-free by rejection.
+        """count uniform values in [0, m), modulo-bias-free by rejection:
+        int32 lanes when m < 2^31, int64 above.
 
         Values of m up to 2^32 use both 32-bit halves of each word, low half
         first on every host, and filter and reduce them in 32 bits; larger m
-        rejects whole words.
+        rejects whole words. A round of need/2 + 4 words (need + 4 whole)
+        goes through words() a _WORD_BLOCK at a time, straight into the
+        output; its words past the last value taken are skipped unread.
         """
         if m < 1 or m > _DRAW_MAX:
             raise ValueError(f"m must be in [1, 2^62], got {m}")
+        out = np.zeros(count, dtype=np.int32 if m < 1 << 31 else np.int64)
         if m == 1:
-            return np.zeros(count, dtype=np.int64)
+            return out
         halves = m <= 1 << 32
         lane = np.uint32 if halves else np.uint64
         lim = lane(((1 << (32 if halves else 64)) // m) * m - 1)
         mm = (np.uint32 if m < 1 << 32 else np.uint64)(m)  # 2^32 needs 64 bits
-        out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
             need = count - filled
-            w = self.words((need + 1) // 2 + 4 if halves else need + 4)
-            if halves:  # little-endian view: low half first, a copy only on big-endian hosts
-                w = w.astype("<u8", copy=False).view("<u4")
-            acc = w[w <= lim]
-            take = min(len(acc), need)
-            np.remainder(acc[:take], mm, out=out[filled : filled + take], casting="unsafe")
-            filled += take
+            end = self._idx + ((need + 1) // 2 + 4 if halves else need + 4)
+            while filled < count and self._idx < end:
+                w = self.words(min(end - self._idx, _WORD_BLOCK))
+                if halves:  # little-endian view: low half first, a copy only on big-endian hosts
+                    w = w.astype("<u8", copy=False).view("<u4")
+                w = w[w <= lim][: count - filled]  # the lanes taken; the block is freed
+                np.remainder(w, mm, out=out[filled : filled + len(w)], casting="unsafe")
+                filled += len(w)
+            self._idx = end
         return out
 
     def uniform_signed(self, half_width: int, count: int) -> np.ndarray:
-        """count uniform int64 values in [-half_width, +half_width]."""
+        """count uniform values in [-half_width, +half_width], in uniform_below's lanes."""
         vals = self.uniform_below(2 * half_width + 1, count)
         vals -= half_width
         return vals
@@ -221,11 +227,6 @@ def _check_range_max(range_max: int) -> None:
         raise ValueError(f"range_max must be in [1, 2^62], got {range_max}")
 
 
-def _gcd_lanes(bound: int):
-    """The gcd lane type for operands at most bound: int32 below 2^31, else int64."""
-    return np.int32 if bound < 1 << 31 else np.int64
-
-
 def _divisible_by_3(x: np.ndarray) -> np.ndarray:
     """True where 3 divides x, for x >= 0 in 32- or 64-bit lanes.
 
@@ -250,11 +251,10 @@ def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int =
     """Sample ordered pairs from [1, M]^2; success when gcd = 1."""
     _check_range_max(range_max)
     _check_trials("pair", trials)
-    lanes = _gcd_lanes(range_max)
 
     def batch(stream, cnt):
-        i = stream.uniform_below(range_max, cnt).astype(lanes, copy=False)
-        k = stream.uniform_below(range_max, cnt).astype(lanes, copy=False)
+        i = stream.uniform_below(range_max, cnt)
+        k = stream.uniform_below(range_max, cnt)
         i += 1
         k += 1
         # a pair with a common factor 2 or 3 fails at once
@@ -269,10 +269,9 @@ def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: in
     """Sample ordered triples from [1, M]^3; success when pairwise coprime."""
     _check_range_max(range_max)
     _check_trials("triple3", trials)
-    lanes = _gcd_lanes(range_max)
 
     def batch(stream, cnt):
-        a, b, c = (stream.uniform_below(range_max, cnt).astype(lanes, copy=False) for _ in range(3))
+        a, b, c = (stream.uniform_below(range_max, cnt) for _ in range(3))
         a += 1
         b += 1
         c += 1
@@ -314,10 +313,10 @@ def gaussian_coprime_mask(zr, zi, wr, wi) -> np.ndarray:
     lanes, and at most 2^61 at the sampler's cap B = 2^30, where it runs in
     int64. B is read off the lanes themselves.
     """
-    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (zr, zi, wr, wi))
-    box = max(int(np.abs(v).max(initial=0)) for v in (a, b, c, d))
-    if box < 1 << 15:
-        a, b, c, d = (v.astype(np.int32) for v in (a, b, c, d))
+    a, b, c, d = (np.asarray(v) for v in (zr, zi, wr, wi))
+    box = max(max(int(v.max(initial=0)), -int(v.min(initial=0))) for v in (a, b, c, d))
+    lanes = np.int32 if box < 1 << 15 else np.int64
+    a, b, c, d = (v.astype(lanes, copy=False) for v in (a, b, c, d))
     return np.gcd(np.gcd(a * a + b * b, c * c + d * d), a * d - b * c) == 1
 
 
@@ -395,14 +394,14 @@ def det_bareiss(rows: list[list[int]]) -> int:
 #: Modulus of the wrapping uint64 residue, the first CRT modulus.
 _WRAP = 1 << 64
 
-#: The 24 largest primes below 2^28 (each checked by the test suite). With
-#: 2^64 they cover 735 bits of determinant width; dim 8 at the widest
-#: entries the sampler draws (below 2^62) needs 510.
+#: The 16 largest primes below 2^28 (each checked by the test suite). With
+#: 2^64 their product is just below 2^512, and twice the Hadamard bound at
+#: the widest stacks the sampler draws (dim 8, entries below 2^62) is 2^509,
+#: so those need all 16.
 _CRT_PRIMES = (
     268435399, 268435367, 268435361, 268435337, 268435331, 268435313,
     268435291, 268435273, 268435243, 268435183, 268435171, 268435157,
-    268435147, 268435133, 268435129, 268435121, 268435109, 268435091,
-    268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
+    268435147, 268435133, 268435129, 268435121,
 )
 
 #: Lanes per pass of the minor expansion, so a pass's minors stay in cache.
@@ -427,6 +426,22 @@ def _crt_primes_for(dim: int, entry_max_abs: int) -> list[int]:
             f"determinant width for dim {dim}, entry bound {entry_max_abs} exceeds the CRT pool"
         )
     return out
+
+
+def _det_trial_us(dim: int, entry_max_abs: int, route: str, primes: int) -> float:
+    """Microseconds of one determinant trial (two matrices) on one thread
+    (2 vCPUs), an upper fit over dims 1-8 and entries from 10 to 2^62.
+
+    The expansion's dim 2^(dim-1) multiplies per lane run once modulo 2^64,
+    once more in float64 on that route, and at twice that cost per CRT
+    prime. Lanes wider than int64 add 4.5 + primes more as Python ints; they
+    are the typical lane once dim! (e^2/3)^dim, about the mean square
+    determinant at entries up to e = entry_max_abs, reaches 2^126.
+    """
+    e = entry_max_abs
+    passes = 1 + (route == "float64") + 2 * primes
+    wide = math.factorial(dim) * (e * e) ** dim >= 3**dim << 126
+    return 0.2 + 0.006 * (dim << (dim - 1)) * passes + wide * (4.5 + primes)
 
 
 def _det_route(dim: int, entry_max_abs: int) -> tuple[str, list[int]]:
@@ -509,11 +524,11 @@ def _expand(mats: np.ndarray, dtype, reduce=None) -> np.ndarray:
 
 
 def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
-    """Determinants modulo m of a stack of int64 matrices, shape (L, n, n),
+    """Determinants modulo m of a stack of int32 or int64 matrices, shape (L, n, n),
     by _expand; m is 2^64 or a prime below 2^28, and every lane is exact.
 
-    Modulo 2^64 the arithmetic is plain wrapping uint64, a ring
-    homomorphism from Z, and the result is returned as its int64 view.
+    Modulo 2^64 the arithmetic is wrapping uint64, a ring homomorphism from
+    Z that either entry type casts into; the result is its int64 view.
 
     Modulo p the entries and every minor are reduced to a signed residue r
     with |r| < p, so each product is below 2^56 and the <= 8 signed terms
@@ -539,7 +554,7 @@ def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
 def _exact_dets(
     mats: np.ndarray, primes: list[int], route: str = "crt"
 ) -> tuple[np.ndarray, dict[int, int]]:
-    """Exact determinants of a stack of int64 matrices, shape (L, n, n).
+    """Exact determinants of a stack of int32 or int64 matrices, shape (L, n, n).
 
     Returns (low, wide). low is int64 and low[l] is det(mats[l]) on every
     lane whose determinant fits int64; wide maps each other lane to its
@@ -633,6 +648,11 @@ def estimate_det_coprime(
     _check_trials("det", trials)
     emax_abs = entry_max - 1
     route, primes = _det_route(dim, emax_abs)
+    cap = int(DET_BUDGET_US / _det_trial_us(dim, emax_abs, route, len(primes)))
+    if trials > cap:
+        raise ResourceLimitError(
+            f"det trials at dim {dim}, entries up to {emax_abs}, capped at {cap:.2g}, got {trials}"
+        )
 
     def draw(stream, cnt):
         if symmetric_entries:

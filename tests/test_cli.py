@@ -167,6 +167,23 @@ def test_every_experiment_at_size_1e30_refused_before_any_work():
     assert (slow, wrong) == ([], [])
 
 
+def test_over_budget_fgcd_and_det_refused_before_any_work():
+    # each in a fresh process, so that a run that starts working fails on the
+    # wall time: fgcd lanes past 2^52 or past float64 range go to exact roots
+    # (hours at c = 1000.5, tens of seconds at c = 7.5 and 3.5), c = 100000.5
+    # passes floor_f's bit guard at n, and dim-8 determinants with entries
+    # near 2^62 cost about 160 us a trial, so 2e7 would take most of an hour
+    runs = [f"exact fgcd --n 10000000 --f pow_c --c {c}" for c in ("1000.5", "7.5", "3.5", "100000.5")]
+    runs.append(f"mc det --dim 8 --entry-max {2**62} --trials 20000000")
+    wrong = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "coprime_lab.cli", *argv.split()],
+                              capture_output=True, text=True, timeout=10)
+        if proc.returncode != 3 or proc.stdout:
+            wrong.append((argv, proc.returncode, proc.stderr))
+    assert wrong == []
+
+
 def test_fgcd_cli_forms():
     (rec,) = run_json(["exact", "fgcd", "--n", "10", "--f", "alpha_n", "--alpha", "sqrt2"])
     assert rec["numerator"] == 6

@@ -683,6 +683,23 @@ def test_fgcd_cap_refused_before_any_block(monkeypatch):
         f_gcd_density(exact.FGCD_MAX, spec)
 
 
+@pytest.mark.parametrize("c, refusal", [
+    ("3/2", None), ("7/2", ResourceLimitError), ("15/2", ResourceLimitError),
+    ("2001/2", ResourceLimitError), ("200001/2", OverflowError),
+])
+def test_fgcd_root_budget_decided_before_any_block(c, refusal, monkeypatch):
+    # at n = 1e7, r = floor(m^c) passes 2^52 from m = 29,720 on for c = 7/2
+    # and from m = 123 on for c = 15/2, and c = 2001/2 overflows every float
+    # product: each sends nearly every lane to floor_f, tens of seconds or
+    # more, while n^3/2 sends none; c = 200001/2 passes floor_f's bit guard
+    def no_block(*args):
+        raise AssertionError("floored a block")
+
+    monkeypatch.setattr(exact, "_floor_lanes", no_block)
+    with pytest.raises(refusal or AssertionError, match=None if refusal else "floored a block"):
+        f_gcd_density(exact.FGCD_MAX, FunctionSpec.n_pow_c(c))
+
+
 def test_visible_cap_refused_before_any_table(monkeypatch):
     def no_table(limit):
         raise AssertionError(f"asked for a table up to {limit}")
@@ -842,6 +859,18 @@ FGCD_FORMS = (
         Fraction(1, 3), Fraction(22, 7), Fraction(1, 10**30), Fraction(10**12), Fraction(10**30 + 7, 10**29))]
     + [FunctionSpec.n_pow_c(Fraction(c)) for c in ("1/2", "3/4", "5/4", "3/2", "7/3", "5/2", "7/2")]
 )
+
+
+@pytest.mark.parametrize("spec", FGCD_FORMS + [FunctionSpec.n_pow_c(c) for c in ("13/2", "53/7", "2001/2")])
+def test_unproven_lane_count_is_the_lanes_past_2_52(spec):
+    # the lanes _floor_lanes is certain not to prove: r >= 2^52, or every
+    # lane once max(p, q) + 1 > 1025 (c = 2001/2), when the products overflow
+    A, p, B, q = spec.A, spec.p, spec.B, spec.q
+    if q == 1:
+        A %= B
+    n = 2000
+    certain = n if p > 1024 else sum(floor_f(spec, m) >= 2**52 for m in range(1, n + 1))
+    assert exact._unproven_lanes(n, A, p, B, q) == certain
 
 
 @st.composite

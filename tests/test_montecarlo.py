@@ -115,13 +115,17 @@ def test_uniform_below_is_the_first_accepted_lanes(m):
 # per count in (1, 7, 65536), the words drawn (_idx after both) and the first
 # 16 hex digits of the SHA-256 of both outputs as little-endian int64. Recorded
 # from the stream before its draw path was rewritten in place; 2^31 + 1 and
-# 3 * 2^60 reject about half and a sixteenth of their lanes.
+# 3 * 2^60 reject about half and a sixteenth of their lanes. 2^31 - 1 and
+# 2^31 sit on the lane boundary (int32 below 2^31, int64 from it on) and were
+# recorded while every draw still came back in int64.
 STREAM_PINS = {
     2: ((10, "814dd7b9784d57c1"), (16, "e73b6b2d044211f0"), (65544, "62db6f293454158d")),
     3: ((10, "fa7c63f601691b95"), (16, "2d8bb74fa2bc2042"), (65544, "83c768fb820c5655")),
     6: ((10, "814dd7b9784d57c1"), (16, "3ee96ec0dce98c62"), (65544, "ff6f83b07bfcefbe")),
     1000: ((10, "a8546eab41eb015e"), (16, "a4d172d4d7da7381"), (65544, "72f36f82dd1c6515")),
     999999: ((10, "497a9c255e647a71"), (16, "f7b824d9ba456059"), (65559, "d7cc0019e71909ca")),
+    2**31 - 1: ((10, "8c203a0d39770ab1"), (16, "51cc0cc80cab811b"), (65544, "1d3054d5460efa02")),
+    2**31: ((10, "4e7b30e380c016ca"), (16, "eeb806782361685b"), (65544, "d668c7a5348e19f4")),
     2**31 + 1: ((10, "ba31b3ec630c85f6"), (16, "f63f948a102475d2"), (131524, "9f5e5d021abc2903")),
     2**32 - 1: ((10, "c707834988bc7a94"), (16, "cd353d0f55c44ae4"), (65544, "286ff405d9ebbf34")),
     2**32: ((10, "8a9c56cb97e9acf9"), (16, "b37e628257dad87c"), (65544, "8e78c6c708bfd2ab")),
@@ -137,9 +141,22 @@ def test_uniform_below_stream_pinned_across_calls(m):
         s = RngStream(m + count)
         a = s.uniform_below(m, count)
         b = s.uniform_below(m, count)
-        assert a.dtype == b.dtype == np.int64
+        assert a.dtype == b.dtype == (np.int32 if m < 2**31 else np.int64)
         got = hashlib.sha256(a.astype("<i8").tobytes() + b.astype("<i8").tobytes()).hexdigest()
         assert (s._idx, got[:16]) == (idx, digest), (m, count)
+
+
+def test_uniform_below_holds_only_its_output():
+    # a dim-6 stack's draw: its int32 output plus one block of words at a time
+    count = 36 * BATCH_SIZE
+    tracemalloc.start()
+    try:
+        out = RngStream(3).uniform_below(1000, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.int32 and out.nbytes == 4 * count
+    assert peak <= out.nbytes + 2**20
 
 
 def test_uniform_below_hits_all_small_residues():
@@ -643,6 +660,35 @@ def test_det_benchmark_counts_are_pinned(threads):
     # the Monte Carlo pins of the benchmark's two det operations
     assert estimate_det_coprime(6, 1000, 200_000, seed=1003, threads=threads).successes == 71642
     assert estimate_det_coprime(3, 10, 200_000, seed=1004, threads=threads).successes == 74664
+
+
+def test_det_batch_memory():
+    # one batch of 2^16 dim-6 pairs, entries below 1000: each 9.4 MB int32
+    # stack is drawn after the one before it is done with, and the expansion
+    # holds one block of lanes at a time
+    tracemalloc.start()
+    try:
+        estimate_det_coprime(6, 1000, BATCH_SIZE, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
+
+
+def test_det_trials_cap_scales_with_the_route(monkeypatch):
+    batches = []
+    monkeypatch.setattr(montecarlo, "_run_batches", lambda *a: batches.append(a) or 0)
+    # dim 6 at entries below 1000 (float64 route) keeps the whole cap
+    estimate_det_coprime(6, 1000, montecarlo.TRIALS_MAX["det"], seed=0)
+    # dim 8 at entries near 2^62 runs 16 CRT primes: about 0.2 ms a trial
+    route, primes = _det_route(8, 2**62 - 1)
+    cap = int(montecarlo.DET_BUDGET_US / montecarlo._det_trial_us(8, 2**62 - 1, route, len(primes)))
+    assert 10**5 < cap < 10**6
+    estimate_det_coprime(8, 2**62, cap, seed=0)
+    assert len(batches) == 2
+    with pytest.raises(montecarlo.ResourceLimitError, match="dim 8"):
+        estimate_det_coprime(8, 2**62, cap + 1, seed=0)
+    assert len(batches) == 2
 
 
 def test_det_dim1_matches_pair_density():
