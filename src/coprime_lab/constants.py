@@ -257,7 +257,7 @@ def zeta(k: int, eps: float = 1e-12) -> ConstantValue:
 
 def inv_zeta(k: int, eps: float = 1e-12) -> ConstantValue:
     """1/zeta(k), the k-tuple coprimality and k-free density limit."""
-    z = zeta(k, eps)
+    z = zeta(k, math.inf)  # only this function's own bound is held against eps
     value = 1.0 / z.value
     # zeta >= 1, so |d(1/z)| <= dz / z^2 <= dz
     bound = z.abs_error_bound / (z.value * (z.value - z.abs_error_bound)) + 2 * _U
@@ -289,7 +289,7 @@ def catalan(eps: float = 1e-9) -> ConstantValue:
 
 def gaussian_coprime_constant(eps: float = 1e-9) -> ConstantValue:
     """6/(pi^2 G): density of coprime pairs of Gaussian integers."""
-    g = catalan(eps)
+    g = catalan(math.inf)  # only this function's own bound is held against eps
     value = 6.0 / (math.pi**2 * g.value)
     bound = g.abs_error_bound * value / (g.value - g.abs_error_bound) + 8 * _U * value
     _refuse_above(bound, eps)

@@ -9,7 +9,11 @@ exactly on any platform.
 One rule picks the lanes: RngStream.uniform_below(m, count) returns int32
 when m < 2^31 and int64 above, and every kernel computes on the lanes it
 gets. The pair and triple gcds (of values up to range_max) first drop lanes
-with two entries even or two divisible by 3. The Gaussian gcd runs in int32
+with two entries even or two divisible by 3, then run kernels.gcd_lanes on
+the whole batch: Euclid with nearest-integer quotients, exact in float32 up
+to 2^23 and in float64 up to 2^52, at about 12 ns a lane at 1e6 and 35 ns at
+1e9 against np.gcd's 65 and 95; larger range_max goes to np.gcd. The
+Gaussian and determinant gcds run np.gcd. The Gaussian gcd runs in int32
 when every |coordinate| <= 2^15 - 1, as its terms are then at most
 2 (2^15 - 1)^2 < 2^31, and in int64 above.
 
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
+from .kernels import gcd_lanes
 
 #: Fixed batch size for deterministic parallel aggregation.
 BATCH_SIZE = 1 << 16
@@ -61,10 +66,11 @@ _WORD_BLOCK = 1 << 15
 #: Largest m that RngStream.uniform_below accepts.
 _DRAW_MAX = 1 << 62
 
-#: Largest trials per estimator, about a minute each on one thread (2 vCPUs)
-#: at 0.11 us a trial for pairs (range_max 1e9) and triples (1e6), 0.14 us for
-#: Gaussian pairs (box 1000) and 2.3 us for determinant pairs (dim 6, entries
-#: below 1000). Costlier determinant routes get fewer, by _det_trial_us.
+#: Largest trials per estimator, at most about a minute each on one thread
+#: (2 vCPUs) at 0.05-0.07 us a trial for pairs (range_max 1e9) and triples
+#: (1e6), 0.11 us for Gaussian pairs (box 1000) and 1.6-2.0 us for
+#: determinant pairs (dim 6, entries below 1000). Costlier determinant routes
+#: get fewer, by _det_trial_us.
 TRIALS_MAX = {"pair": 5 * 10**8, "triple3": 5 * 10**8, "gaussian": 4 * 10**8, "det": 2 * 10**7}
 
 #: Microseconds of determinant trials one estimate may take by _det_trial_us.
@@ -259,7 +265,7 @@ def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int =
         k += 1
         # a pair with a common factor 2 or 3 fails at once
         i, k = _kept(((i | k) & 1 == 1) & ~(_divisible_by_3(i) & _divisible_by_3(k)), i, k)
-        return int(np.count_nonzero(np.gcd(i, k) == 1))
+        return int(np.count_nonzero(gcd_lanes(i, k) == 1))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish("pair", succ, trials, seed, {"range_max": range_max})
@@ -280,9 +286,9 @@ def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: in
         ta, tb, tc = _divisible_by_3(a), _divisible_by_3(b), _divisible_by_3(c)
         keep = (((a & b) | (a & c) | (b & c)) & 1 == 1) & ~((ta & tb) | (ta & tc) | (tb & tc))
         a, b, c = _kept(keep, a, b, c)
-        a, b, c = _kept(np.gcd(a, b) == 1, a, b, c)
-        b, c = _kept(np.gcd(a, c) == 1, b, c)
-        return int(np.count_nonzero(np.gcd(b, c) == 1))
+        a, b, c = _kept(gcd_lanes(a, b) == 1, a, b, c)
+        b, c = _kept(gcd_lanes(a, c) == 1, b, c)
+        return int(np.count_nonzero(gcd_lanes(b, c) == 1))
 
     succ = _run_batches(trials, seed, batch, threads)
     return _finish("triple3", succ, trials, seed, {"range_max": range_max})

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import mpmath as mp
 import oracle
@@ -244,6 +245,33 @@ def test_convergence_prime_density_decreases_toward_zero():
     vals = [r["value"] for r in recs[:-1]]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert recs[-1]["value"] == 0.0
+
+
+def test_rows_under_1_ms_keep_their_own_elapsed_ms(monkeypatch):
+    # a clock that reads 0, 0.4, 0.8, ... ms: the run's clock starts first, each
+    # row reads two ticks and the run's clock ends last
+    ticks = iter(range(100))
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 4e-4 * next(ticks)))
+    recs = run_json(["report", "convergence", "--experiment", "pair", "--ns", "10,20,30"])
+    assert [r["elapsed_ms"] for r in recs] == [0, 0, 0, 2]  # three rows, then the whole run
+
+
+def test_refusal_names_the_bound_of_the_series_constant_asked_for(capsys):
+    for argv in (["zeta", "--k", "2"], ["invzeta", "--k", "2"], ["catalan"], ["gaussian"],
+                 ["delta", "--dim", "1"]):
+        (rec,) = run_json(["const", *argv])
+        bound = rec["params"]["abs_error_bound"]
+        capsys.readouterr()
+        code, lines = run_lines(["const", *argv, "--eps", "1e-300"])
+        assert code == 2 and lines == [], argv
+        assert f"certified bound {bound:.2e} exceeds" in capsys.readouterr().err, argv
+
+
+def test_refusal_names_the_floor_of_the_product_constant_asked_for(capsys):
+    for argv in (["euler-product"], ["q3"], ["delta", "--dim", "6"], ["delta", "--dim", "inf"]):
+        code, lines = run_lines(["const", *argv, "--eps", "1e-300"])
+        assert code == 2 and lines == [], argv
+        assert "euler product eps floor is 1e-11" in capsys.readouterr().err, argv
 
 
 def test_convergence_requires_ascending_ns():

@@ -778,6 +778,27 @@ def test_iroot_exact():
         assert iroot(x, k) == r, (x, k)
 
 
+def test_floor_f_equals_iroot_at_root_boundaries():
+    # floor_f takes math.isqrt for q = 2; iroot's Newton is the reference, at
+    # A m^p // B one below a perfect square, on it and one above it
+    sqrt_n = FunctionSpec(1, 1, 1, 2, "n^1/2")
+    for r in (1, 2, 3, 2**26 + 1, 2**52 - 1, 10**40 + 7, 3**500):
+        for m in (r * r - 1, r * r, r * r + 1):
+            if m >= 1:
+                assert floor_f(sqrt_n, m) == iroot(m, 2), m
+    # sqrt(2) m at the Pell solutions r^2 - 2 m^2 = -1, +1, -1, ...
+    s2 = FunctionSpec.sqrt2_times_n()
+    r, m = 1, 1
+    for _ in range(60):
+        assert floor_f(s2, m) == iroot(2 * m * m, 2) == r - (r * r > 2 * m * m), m
+        r, m = r + 2 * m, r + m
+    # 40,000-bit operands: m^1001 is a square at m = k^2
+    wide = FunctionSpec(1, 1001, 1, 2, "n^1001/2")
+    k = 10**6 + 3
+    for m in (k * k - 1, k * k, k * k + 1):
+        assert floor_f(wide, m) == iroot(m**1001, 2), m
+
+
 def test_floor_f_against_mpmath():
     mpmath.mp.dps = 60
     s2 = FunctionSpec.sqrt2_times_n()

@@ -126,7 +126,7 @@ def test_triple_counts_do_not_depend_on_blas_threads(blas_threads):
 
 
 LAYERS = ("numpy", "coprime_lab.constants", "coprime_lab.exact", "coprime_lab.montecarlo",
-          "coprime_lab.sieve", "coprime_lab.gaussian")
+          "coprime_lab.sieve", "coprime_lab.gaussian", "coprime_lab.kernels")
 
 
 def loaded_after(code):
@@ -165,6 +165,7 @@ def test_exact_runs_load_no_montecarlo():
         "exact prime-density --x 1000", "report convergence --experiment pair --ns 10,100",
     ))
     assert "coprime_lab.exact" in loaded and "coprime_lab.montecarlo" not in loaded
+    assert "coprime_lab.kernels" in loaded  # fgcd's gcd lanes
 
 
 def test_mc_runs_load_no_exact():
@@ -173,6 +174,29 @@ def test_mc_runs_load_no_exact():
         "mc det --dim 3 --trials 100",
     ))
     assert "coprime_lab.montecarlo" in loaded and "coprime_lab.exact" not in loaded
+    assert "coprime_lab.kernels" in loaded
+
+
+@pytest.mark.parametrize("command, layer", [
+    ("exact pair --n 10", "coprime_lab.exact"),
+    ("const zeta --k 3", "coprime_lab.constants"),
+    ("mc pair --trials 100", "coprime_lab.montecarlo"),
+    ("report convergence --experiment pair --ns 10,20", "coprime_lab.exact"),
+])
+def test_elapsed_ms_starts_after_the_layer_is_loaded(command, layer):
+    # the first reading of the CLI's clock notes whether the layer is loaded
+    loaded = run_python(
+        "import io, json, sys, time, types\n"
+        "from coprime_lab import cli\n"
+        "seen = []\n"
+        "def clock():\n"
+        f"    seen.append({layer!r} in sys.modules)\n"
+        "    return time.perf_counter()\n"
+        "cli.time = types.SimpleNamespace(perf_counter=clock)\n"
+        f"assert cli.run({command.split()!r}, out=io.StringIO()) == 0\n"
+        "print(json.dumps(seen[0]))"
+    )
+    assert loaded is True
 
 
 def test_constants_primes_and_mobius_match_the_sieve():
