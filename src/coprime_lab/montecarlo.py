@@ -6,28 +6,34 @@ combined by integer summation. Results are therefore identical for any
 worker count, and re-running with the same seed reproduces successes
 exactly on any platform.
 
-One rule picks the lanes: RngStream.uniform_below(m, count) returns int32
-when m < 2^31 and int64 above, and every kernel computes on the lanes it
-gets. The pair and triple gcds (of values up to range_max) first drop lanes
-with two entries even or two divisible by 3, then run kernels.gcd_lanes on
-the whole batch: Euclid with nearest-integer quotients, exact in float32 up
-to 2^23 and in float64 up to 2^52, at about 12 ns a lane at 1e6 and 35 ns at
-1e9 against np.gcd's 65 and 95; larger range_max goes to np.gcd. The
-Gaussian and determinant gcds run np.gcd. The Gaussian gcd runs in int32
-when every |coordinate| <= 2^15 - 1, as its terms are then at most
-2 (2^15 - 1)^2 < 2^31, and in int64 above.
+One rule picks the lanes: RngStream.blocks(m, count, size), and
+uniform_below, its one-block form, return int32 when m < 2^31 and int64
+above, and every kernel computes on the lanes it gets. The pair and triple
+gcds (of values up to range_max) first drop lanes with two entries even or
+two divisible by 3, then run kernels.gcd_lanes on the whole batch: Euclid
+with nearest-integer quotients, exact in float32 up to 2^23 and in float64
+up to 2^52, at about 12 ns a lane at 1e6 and 35 ns at 1e9 against np.gcd's
+65 and 95; larger range_max goes to np.gcd. The Gaussian gcd runs
+gcd_lanes on its three terms, in int32 when every |coordinate| <=
+2^15 - 1, as its terms are then at most 2 (2^15 - 1)^2 < 2^31, and in int64
+above. The determinant gcd runs np.gcd.
 
-Determinant trials need exact integer determinants. Each is a
-division-free minor expansion, with no pivots, computed modulo 2^64 in
-wrapping uint64. The part above 2^64 comes from nothing where 2^64 exceeds
-twice the Hadamard bound (dim <= 5 at entries below 1000), from one float64
-pass of the same expansion where its rounding error is proven below 2^61
-(every dim <= 8 at entries up to about 3,000; the proof is in _exact_dets),
-and otherwise from residues modulo as many primes below 2^28 as the
-Hadamard bound calls for, by signed Garner digits. Determinants come back
-in int64 on every lane where they fit, and as Python ints on the lanes
-where they do not. The pure-integer Bareiss routine below is the oracle:
-every stack checks a lane against it.
+Determinant trials need exact integer determinants. Each stack of
+matrices goes from the draw to its determinants one block of _DET_BLOCK
+lanes at a time, so no batch holds a whole stack. Each determinant is a
+division-free minor expansion, with no pivots. Its levels up to k0, the
+largest order whose minors fit int64 by Hadamard's bound at the block's
+largest entry, run once in wrapping uint64; the levels above run once per
+modulus. Modulo 2^64 they give the low part. The part above 2^64 comes
+from nothing where 2^64 exceeds twice the Hadamard bound (dim <= 5 at
+entries below 1000), from one float64 pass of the levels above k0 where
+its rounding error is proven below 2^61 (every dim <= 8 at entries up to
+about 3,000; the proof is in _exact_dets), and otherwise from residues
+modulo as many primes below 2^28 as the Hadamard bound calls for, by
+signed Garner digits. Determinants come back in int64 on every lane where
+they fit, and as Python ints on the lanes where they do not. The
+pure-integer Bareiss routine below is the oracle: every block checks a lane
+against it.
 """
 
 from __future__ import annotations
@@ -63,12 +69,15 @@ _S30, _S27, _S31 = (np.uint64(s) for s in (30, 27, 31))
 #: Words per block of the in-place finalizer: two uint64 blocks stay in L2.
 _WORD_BLOCK = 1 << 15
 
-#: Largest m that RngStream.uniform_below accepts.
+#: (i + 1) * gamma for the i-th word of a block, wrapping.
+_RAMP = np.arange(1, _WORD_BLOCK + 1, dtype=np.uint64) * _G
+
+#: Largest m that RngStream.blocks accepts.
 _DRAW_MAX = 1 << 62
 
 #: Largest trials per estimator, at most about a minute each on one thread
 #: (2 vCPUs) at 0.05-0.07 us a trial for pairs (range_max 1e9) and triples
-#: (1e6), 0.11 us for Gaussian pairs (box 1000) and 1.6-2.0 us for
+#: (1e6), 0.11 us for Gaussian pairs (box 1000) and 0.9-1.0 us for
 #: determinant pairs (dim 6, entries below 1000). Costlier determinant routes
 #: get fewer, by _det_trial_us.
 TRIALS_MAX = {"pair": 5 * 10**8, "triple3": 5 * 10**8, "gaussian": 4 * 10**8, "det": 2 * 10**7}
@@ -105,12 +114,14 @@ class RngStream:
         self._idx = 0
 
     def words(self, n: int) -> np.ndarray:
-        """The next n words: the splitmix64 finalizer, in place on the counters."""
-        z = np.arange(self._idx + 1, self._idx + n + 1, dtype=np.uint64)
+        """The next n words: the splitmix64 finalizer, in place on the counters,
+        which are _RAMP added to seed + idx * gamma a _WORD_BLOCK at a time."""
+        z = np.empty(n, dtype=np.uint64)
+        for lo in range(0, n, _WORD_BLOCK):
+            base = np.uint64((self.seed + (self._idx + lo) * _GAMMA) & _MASK64)
+            np.add(_RAMP[: n - lo], base, out=z[lo : lo + _WORD_BLOCK])
         self._idx += n
         t = np.empty_like(z)  # each shift
-        z *= _G
-        z += np.uint64(self.seed)
         z ^= np.right_shift(z, _S30, out=t)
         z *= _M1
         z ^= np.right_shift(z, _S27, out=t)
@@ -118,37 +129,58 @@ class RngStream:
         z ^= np.right_shift(z, _S31, out=t)
         return z
 
-    def uniform_below(self, m: int, count: int) -> np.ndarray:
-        """count uniform values in [0, m), modulo-bias-free by rejection:
-        int32 lanes when m < 2^31, int64 above.
+    def blocks(self, m: int, count: int, size: int):
+        """count uniform values in [0, m), modulo-bias-free by rejection, size
+        at a time: ceil(count / size) fresh arrays, one empty array when
+        count is 0, in int32 lanes when m < 2^31 and int64 above.
 
         Values of m up to 2^32 use both 32-bit halves of each word, low half
         first on every host, and filter and reduce them in 32 bits; larger m
         rejects whole words. A round of need/2 + 4 words (need + 4 whole)
         goes through words() a _WORD_BLOCK at a time, straight into the
-        output; its words past the last value taken are skipped unread.
+        blocks; its words past the last value taken are skipped unread. Each
+        value is w - (w // m) m, written in place in its block (numpy divides
+        by a scalar without a hardware divide). Run the generator to its end:
+        the stream's counter passes the last round only after the last block.
         """
         if m < 1 or m > _DRAW_MAX:
             raise ValueError(f"m must be in [1, 2^62], got {m}")
-        out = np.zeros(count, dtype=np.int32 if m < 1 << 31 else np.int64)
-        if m == 1:
-            return out
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        dtype = np.int32 if m < 1 << 31 else np.int64
+        if m == 1 or not count:  # nothing to draw
+            yield from (np.zeros(min(size, count - lo), dtype) for lo in range(0, max(count, 1), size))
+            return
         halves = m <= 1 << 32
         lane = np.uint32 if halves else np.uint64
         lim = lane(((1 << (32 if halves else 64)) // m) * m - 1)
         mm = (np.uint32 if m < 1 << 32 else np.uint64)(m)  # 2^32 needs 64 bits
-        filled = 0
-        while filled < count:
-            need = count - filled
-            end = self._idx + ((need + 1) // 2 + 4 if halves else need + 4)
-            while filled < count and self._idx < end:
+        unsigned = np.uint32 if dtype is np.int32 else np.uint64  # the view each value is reduced in
+        left = count  # values not yet drawn
+        out, at = np.empty(min(size, left), dtype), 0
+        while left:
+            end = self._idx + ((left + 1) // 2 + 4 if halves else left + 4)
+            while left and self._idx < end:
                 w = self.words(min(end - self._idx, _WORD_BLOCK))
                 if halves:  # little-endian view: low half first, a copy only on big-endian hosts
                     w = w.astype("<u8", copy=False).view("<u4")
-                w = w[w <= lim][: count - filled]  # the lanes taken; the block is freed
-                np.remainder(w, mm, out=out[filled : filled + len(w)], casting="unsafe")
-                filled += len(w)
+                w = w[w <= lim][:left]  # the lanes taken; the block is freed
+                while len(w):
+                    v, w = w[: len(out) - at], w[len(out) - at :]
+                    o = out[at : at + len(v)].view(unsigned)
+                    np.floor_divide(v, mm, out=o)
+                    o *= mm
+                    np.subtract(v, o, out=o)
+                    at += len(v)
+                    left -= len(v)
+                    if at == len(out):
+                        yield out
+                        out, at = np.empty(min(size, left), dtype), 0
             self._idx = end
+
+    def uniform_below(self, m: int, count: int) -> np.ndarray:
+        """The count values of blocks(m, count, ...) as one array."""
+        (out,) = self.blocks(m, count, max(count, 1))
         return out
 
     def uniform_signed(self, half_width: int, count: int) -> np.ndarray:
@@ -323,7 +355,8 @@ def gaussian_coprime_mask(zr, zi, wr, wi) -> np.ndarray:
     box = max(max(int(v.max(initial=0)), -int(v.min(initial=0))) for v in (a, b, c, d))
     lanes = np.int32 if box < 1 << 15 else np.int64
     a, b, c, d = (v.astype(lanes, copy=False) for v in (a, b, c, d))
-    return np.gcd(np.gcd(a * a + b * b, c * c + d * d), a * d - b * c) == 1
+    # gcd_lanes reads its bound off non-negative lanes
+    return gcd_lanes(gcd_lanes(a * a + b * b, c * c + d * d), np.abs(a * d - b * c)) == 1
 
 
 def estimate_gaussian_coprime(box_half_width: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
@@ -410,8 +443,11 @@ _CRT_PRIMES = (
     268435147, 268435133, 268435129, 268435121,
 )
 
-#: Lanes per pass of the minor expansion, so a pass's minors stay in cache.
-_DET_CHUNK = 1 << 14
+#: Lanes per block of the minor expansion, drawn and expanded before the
+#: next. A block makes about n 2^n numpy calls at dim n, so the call overhead
+#: grows with the dim as the block's working set does. On one thread 2^12 was
+#: the fastest of 2^11 to 2^14, or within 5% of it, at every dim from 3 to 8.
+_DET_BLOCK = 1 << 12
 
 
 def _crt_primes_for(dim: int, entry_max_abs: int) -> list[int]:
@@ -438,16 +474,18 @@ def _det_trial_us(dim: int, entry_max_abs: int, route: str, primes: int) -> floa
     """Microseconds of one determinant trial (two matrices) on one thread
     (2 vCPUs), an upper fit over dims 1-8 and entries from 10 to 2^62.
 
-    The expansion's dim 2^(dim-1) multiplies per lane run once modulo 2^64,
-    once more in float64 on that route, and at twice that cost per CRT
-    prime. Lanes wider than int64 add 4.5 + primes more as Python ints; they
-    are the typical lane once dim! (e^2/3)^dim, about the mean square
-    determinant at entries up to e = entry_max_abs, reaches 2^126.
+    The expansion's dim 2^(dim-1) multiplies per lane run once modulo 2^64;
+    those of the levels above _exact_level run once more in float64 on that
+    route, and at 1.5 times that cost per CRT prime. Lanes wider than int64
+    add 4.5 + primes more as Python ints; they are the typical lane once
+    dim! (e^2/3)^dim, about the mean square determinant at entries up to
+    e = entry_max_abs, reaches 2^126.
     """
     e = entry_max_abs
-    passes = 1 + (route == "float64") + 2 * primes
+    above = sum(k * math.comb(dim, k) for k in range(_exact_level(dim, e) + 1, dim + 1))
+    passes = (route == "float64") + 1.5 * primes
     wide = math.factorial(dim) * (e * e) ** dim >= 3**dim << 126
-    return 0.2 + 0.006 * (dim << (dim - 1)) * passes + wide * (4.5 + primes)
+    return 0.4 + 0.005 * ((dim << (dim - 1)) + above * passes) + wide * (4.5 + primes)
 
 
 def _det_route(dim: int, entry_max_abs: int) -> tuple[str, list[int]]:
@@ -493,68 +531,72 @@ def _minor_schedule(n: int) -> tuple:
     return tuple(levels)
 
 
-def _expand(mats: np.ndarray, dtype, reduce=None) -> np.ndarray:
-    """The division-free minor expansion of every lane of mats, shape (L, n, n).
+def _exact_level(n: int, e: int) -> int:
+    """The largest k <= n with k^k e^(2k) < 2^126: by Hadamard's bound every
+    minor of order k of a matrix with entries at most e in magnitude is then
+    below (sqrt(k) e)^k < 2^63, and fits int64."""
+    return max(k for k in range(1, n + 1) if k**k * e ** (2 * k) < 1 << 126)
 
-    It runs from the bottom row up: 2^n - 1 minors and n * 2^(n-1)
-    multiplies per lane, with no pivot and no inverse. Lanes go in blocks of
-    _DET_CHUNK, each cast to dtype and transposed to (n, n, lanes), so each
-    entry and minor is a contiguous vector. reduce(x), if given, acts in
-    place on the entries and on each level of minors. Returns one
-    determinant per lane, in dtype.
+
+def _expand(a: np.ndarray, minors: np.ndarray, k: int, top: int, reduce=None) -> np.ndarray:
+    """Levels k + 1..top of the division-free minor expansion, from the
+    minors of order k on the last k rows to those of order top, each level
+    of shape (C(n, j), lanes) in the minors' dtype.
+
+    a holds the entries transposed to (rows, n, lanes), in that dtype, so
+    each entry and minor is a contiguous vector; level j reads row n - j, so
+    a needs only its first n - k rows. Level 1 is the last row. Over levels
+    2..n this is 2^n - 1 minors and n 2^(n-1) multiplies per lane, with no
+    pivot and no inverse. reduce(x), if given, maps each new level to the
+    one kept.
     """
-    lanes, n, _ = mats.shape
-    out = np.empty(lanes, dtype=dtype)
-    for lo in range(0, lanes, _DET_CHUNK):
-        a = mats[lo : lo + _DET_CHUNK].transpose(1, 2, 0).astype(dtype, order="C")
-        if reduce is not None:
-            reduce(a)
-        minors = a[n - 1]
-        tmp = np.empty_like(minors[0])
-        for k, level in enumerate(_minor_schedule(n), start=2):
-            row = a[n - k]
-            nxt = np.empty((len(level), len(tmp)), dtype=dtype)
-            for acc, ((c, sub), *rest) in zip(nxt, level):
-                np.multiply(row[c], minors[sub], out=acc)
-                for t, (c, sub) in enumerate(rest):
-                    np.multiply(row[c], minors[sub], out=tmp)
-                    if t & 1:
-                        acc += tmp
-                    else:
-                        acc -= tmp
-            if reduce is not None:
-                reduce(nxt)
-            minors = nxt
-        out[lo : lo + _DET_CHUNK] = minors[0]
-    return out
+    n = a.shape[1]
+    tmp = np.empty_like(minors[0])
+    for j in range(k + 1, top + 1):
+        row = a[n - j]
+        level = _minor_schedule(n)[j - 2]
+        nxt = np.empty((len(level), len(tmp)), dtype=minors.dtype)
+        for acc, ((c, sub), *rest) in zip(nxt, level):
+            np.multiply(row[c], minors[sub], out=acc)
+            for t, (c, sub) in enumerate(rest):
+                np.multiply(row[c], minors[sub], out=tmp)
+                if t & 1:
+                    acc += tmp
+                else:
+                    acc -= tmp
+        minors = nxt if reduce is None else reduce(nxt)
+    return minors
 
 
-def _dets_mod_p(mats: np.ndarray, m: int) -> np.ndarray:
-    """Determinants modulo m of a stack of int32 or int64 matrices, shape (L, n, n),
-    by _expand; m is 2^64 or a prime below 2^28, and every lane is exact.
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p) for int64 lanes x and 0 < p < 2^63, as x - (x // p) p:
+    exact for every int64 (the product and difference wrap modulo 2^64, and
+    the result lies in [0, p)), and numpy divides by a scalar without a
+    hardware divide, about six times as fast as its %."""
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
+def _dets_mod_p(a: np.ndarray, minors: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Determinants modulo m of the lanes of a, the entries transposed to
+    (n, n, lanes) in uint64, from their minors of order k on the last k rows
+    (uint64 whose int64 view is exact), by _expand; m is 2^64 or a prime
+    below 2^28, and every lane is exact.
 
     Modulo 2^64 the arithmetic is wrapping uint64, a ring homomorphism from
     Z that either entry type casts into; the result is its int64 view.
 
-    Modulo p the entries and every minor are reduced to a signed residue r
-    with |r| < p, so each product is below 2^56 and the <= 8 signed terms
-    of a minor stay below 8p^2 < 2^59 in int64. Each x reduced is below
-    2^62 in magnitude, and is reduced without division as x - q*p with
-    q = rint(fl(fl(x) * fl(1/p))): as |x/p| < 2^62 / 2^27 = 2^35, the three
-    roundings move x/p by less than 2^-51 * 2^35 = 2^-16, so
-    |x/p - q| < 1/2 + 2^-16 and |x - q*p| < p. The determinant comes back
+    Modulo p every entry, order-k minor and new level of minors is reduced
+    by _mod to [0, p): each product is below 2^56 and the <= 8 signed terms
+    of a minor stay below 8p^2 < 2^59 in int64. The determinant comes back
     in [0, p).
     """
+    n = a.shape[1]
     if m == _WRAP:
-        return _expand(mats, np.uint64).view(np.int64)
-    inv = 1.0 / m
-
-    def reduce(x):
-        q = np.rint(x * inv).astype(np.int64)
-        q *= m
-        x -= q
-
-    return _expand(mats, np.int64, reduce) % m
+        return _expand(a, minors, k, n)[0].view(np.int64)
+    mod = functools.partial(_mod, p=m)
+    return _expand(mod(a[: n - k].view(np.int64)), mod(minors.view(np.int64)), k, n, mod)[0]
 
 
 def _exact_dets(
@@ -566,21 +608,30 @@ def _exact_dets(
     lane whose determinant fits int64; wide maps each other lane to its
     determinant as a Python int. route and primes come from _det_route.
 
-    Every route starts from r, the int64 view of the determinant modulo
-    2^64, and writes det = r + sum_i v_i R_i with R_1 = 2^64: a determinant
-    fits int64 exactly when every v_i is 0, and then it is r; only the other
-    lanes become Python ints.
+    The levels 2..k0 of the minor expansion run once, in wrapping uint64,
+    where k0 = _exact_level(n, e) and e is the largest entry magnitude of
+    mats: every minor of order k0 fits int64, so the int64 view of these is
+    exact. Only the levels above k0 run once per modulus, from them; with no
+    primes and no float64 pass k0 = n. Every route starts from r, the int64
+    view of the determinant modulo 2^64, and writes det = r + sum_i v_i R_i
+    with R_1 = 2^64: a determinant fits int64 exactly when every v_i is 0,
+    and then it is r; only the other lanes become Python ints.
 
-    Route "float64" (primes empty) runs the same expansion once more in
-    float64, with no reduction, giving f, and takes the one digit
-    v_1 = rint((f - fl(r)) * 2^-64). A minor of order k is a length-k signed
-    dot product of entries with minors of order k - 1, so by the standard
-    bound (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., 3.1) each of its monomials carries at most c(k) = c(k-1) + k
-    roundings, c(1) = 0, and f is within gamma_c * per(|A|) of det with
+    Route "float64" (primes empty) runs the levels above k0 once more in
+    float64, from fl of the order-k0 minors and with no reduction, giving f,
+    and takes the one digit v_1 = rint((f - fl(r)) * 2^-64). A minor of
+    order k is a length-k signed dot product of entries with minors of
+    order k - 1, so by the standard bound (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1) each of its monomials
+    carries at most c(k) = c(k-1) + k roundings, c(1) = 0, and a full
+    float64 expansion is within gamma_c * per(|A|) of det with
     c = c(n) = n(n+1)/2 - 1, gamma_c = c u / (1 - c u) and u = 2^-53; the
-    entries are exact in float64 as e <= 2^53. per(|A|) <= n! e^n, so the
-    route's condition gamma_c n! e^n < 2^61 gives |f - det| < 2^61. With
+    entries are exact in float64 as e <= 2^53. From the exact order-k0
+    minors each monomial carries c' <= c roundings: fl of a minor scales all
+    of its monomials by one 1 + delta, so c'(k0) = 1 <= c(k0) for k0 >= 2
+    (c'(1) = 0), and then c'(k) = c'(k-1) + k. As gamma_c' <= gamma_c, the
+    route's condition gamma_c n! e^n < 2^61 still suffices: per(|A|) <=
+    n! e^n gives |f - det| < 2^61. With
     det = r + 2^64 v_1, |r| <= 2^63 gives |fl(r) - r| <= 2^10, and
     n! e^n < 2^61 / gamma_c <= 2^113 gives |v_1| < 2^50, so the subtraction
     rounds by at most (|v_1| + 1) * 2^-53 < 2^-3 after scaling: the scaled
@@ -601,20 +652,26 @@ def _exact_dets(
     Lane 0 and the first wide lane, if any, are recomputed with det_bareiss;
     a mismatch raises AssertionError.
     """
-    low = _dets_mod_p(mats, _WRAP)
+    n = mats.shape[1]
+    e = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+    k0 = _exact_level(n, e) if primes or route == "float64" else n
+    a = mats.transpose(1, 2, 0).astype(np.uint64, order="C")
+    base = _expand(a, a[n - 1], 1, k0)
+    low = _dets_mod_p(a, base, k0, _WRAP)
     radices = [1, _WRAP]  # R_0, R_1, ...
     digits = []  # v_1, v_2, ...
     if route == "float64":
-        f = _expand(mats, np.float64)
+        signed = base.view(np.int64).astype(np.float64)
+        f = _expand(a[: n - k0].view(np.int64).astype(np.float64), signed, k0, n)[0]
         f -= low
         f *= 2.0**-64
         digits.append(np.rint(f, out=f).astype(np.int64))
     for p in primes:
         # |v_i| < 2^27 and R_i mod p < 2^28: the sum stays below 2^60
-        known = low % p
+        known = _mod(low, p)
         for v, r in zip(digits, radices[1:]):
             known += v * (r % p)
-        v = (_dets_mod_p(mats, p) - known) % p * pow(radices[-1] % p, -1, p) % p
+        v = _mod(_mod(_dets_mod_p(a, base, k0, p) - known, p) * pow(radices[-1] % p, -1, p), p)
         v[v > p // 2] -= p
         digits.append(v)
         radices.append(radices[-1] * p)
@@ -626,6 +683,22 @@ def _exact_dets(
         got = wide.get(l, int(low[l]))
         if got != det_bareiss(mats[l].tolist()):
             raise AssertionError(f"determinant kernel gives {got} on lane {l}, Bareiss disagrees")
+    return low, wide
+
+
+def _stream_dets(stream, cnt, dim, m, shift, primes, route):
+    """_exact_dets of the next cnt dim x dim matrices drawn from stream, with
+    entries uniform below m, less shift, as (low, wide) over all cnt lanes.
+    One _DET_BLOCK of lanes at a time goes from the draw to its determinants
+    before the next is drawn."""
+    low = np.empty(cnt, dtype=np.int64)
+    wide = {}
+    for i, flat in enumerate(stream.blocks(m, cnt * dim * dim, _DET_BLOCK * dim * dim)):
+        if shift:
+            flat -= shift
+        lo = i * _DET_BLOCK
+        low[lo : lo + _DET_BLOCK], w = _exact_dets(flat.reshape(-1, dim, dim), primes, route)
+        wide.update((lo + l, v) for l, v in w.items())
     return low, wide
 
 
@@ -660,16 +733,11 @@ def estimate_det_coprime(
             f"det trials at dim {dim}, entries up to {emax_abs}, capped at {cap:.2g}, got {trials}"
         )
 
-    def draw(stream, cnt):
-        if symmetric_entries:
-            flat = stream.uniform_signed(emax_abs, cnt * dim * dim)
-        else:
-            flat = stream.uniform_below(entry_max, cnt * dim * dim)
-        return flat.reshape(cnt, dim, dim)
+    m, shift = (2 * emax_abs + 1, emax_abs) if symmetric_entries else (entry_max, 0)
 
     def batch(stream, cnt):
-        d1, w1 = _exact_dets(draw(stream, cnt), primes, route)
-        d2, w2 = _exact_dets(draw(stream, cnt), primes, route)
+        d1, w1 = _stream_dets(stream, cnt, dim, m, shift, primes, route)
+        d2, w2 = _stream_dets(stream, cnt, dim, m, shift, primes, route)
         # np.gcd takes |x| in unsigned arithmetic, so a det of -2^63 is safe
         ok = np.gcd(d1, d2) == 1
         for l in w1.keys() | w2.keys():

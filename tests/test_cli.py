@@ -173,7 +173,7 @@ def test_over_budget_fgcd_and_det_refused_before_any_work():
     # wall time: fgcd lanes past 2^52 or past float64 range go to exact roots
     # (hours at c = 1000.5, tens of seconds at c = 7.5 and 3.5), c = 100000.5
     # passes floor_f's bit guard at n, and dim-8 determinants with entries
-    # near 2^62 cost about 160 us a trial, so 2e7 would take most of an hour
+    # near 2^62 cost about 85 us a trial, so 2e7 would take about half an hour
     runs = [f"exact fgcd --n 10000000 --f pow_c --c {c}" for c in ("1000.5", "7.5", "3.5", "100000.5")]
     runs.append(f"mc det --dim 8 --entry-max {2**62} --trials 20000000")
     wrong = []

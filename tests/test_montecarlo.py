@@ -25,7 +25,7 @@ from coprime_lab.montecarlo import (
     mix64,
     wilson_interval,
     _CRT_PRIMES,
-    _DET_CHUNK,
+    _DET_BLOCK,
     _exact_dets,
     _crt_primes_for,
     _det_route,
@@ -144,6 +144,28 @@ def test_uniform_below_stream_pinned_across_calls(m):
         assert a.dtype == b.dtype == (np.int32 if m < 2**31 else np.int64)
         got = hashlib.sha256(a.astype("<i8").tobytes() + b.astype("<i8").tobytes()).hexdigest()
         assert (s._idx, got[:16]) == (idx, digest), (m, count)
+
+
+@pytest.mark.parametrize("m", sorted(STREAM_PINS))
+def test_blocks_concatenate_to_uniform_below(m):
+    # sizes 1 and 7, and one that does not divide count, across word blocks
+    for count, size in ((600, 1), (70_000, 7), (70_000, 30_000)):
+        whole = RngStream(m + count)
+        want = whole.uniform_below(m, count)
+        s = RngStream(m + count)
+        got = list(s.blocks(m, count, size))
+        assert [len(b) for b in got] == [min(size, count - lo) for lo in range(0, count, size)]
+        assert all(b.dtype == want.dtype for b in got)
+        assert np.array_equal(np.concatenate(got), want) and s._idx == whole._idx, (m, count, size)
+
+
+def test_blocks_that_draw_nothing():
+    s = RngStream(4)
+    assert [b.tolist() for b in s.blocks(1, 10, 4)] == [[0] * 4, [0] * 4, [0, 0]]
+    assert [b.tolist() for b in s.blocks(5, 0, 3)] == [[]]
+    assert s._idx == 0 and s.uniform_below(5, 0).tolist() == []
+    with pytest.raises(ValueError):
+        next(s.blocks(5, 10, 0))
 
 
 def test_uniform_below_holds_only_its_output():
@@ -638,14 +660,65 @@ def test_det_route_boundaries_are_the_exact_inequalities(n):
         assert 3000 < e1 < 3500  # the float64 route's reach at dim 8
 
 
+def exact_level_edges(n):
+    """(e, k) for each k in 2..n: e is the largest entry bound at which every
+    order-k minor fits int64 by Hadamard's bound, k^k e^(2k) < 2^126."""
+    return [(largest_admitted(lambda e: k**k * e ** (2 * k) < 2**126, 2**62), k) for k in range(2, n + 1)]
+
+
+def sylvester(n):
+    """The last n rows and columns of the Sylvester Hadamard matrix of order 8:
+    its order-2 and order-4 corners reach Hadamard's bound."""
+    h = np.array([[1]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    return h[8 - n :, 8 - n :]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_dets_at_each_exact_level_edge(n):
+    # every minor of order k0 must fit int64, with k0 read off the lanes:
+    # at each edge e of a level and at e + 1, on every route that admits e
+    rng = np.random.default_rng(n)
+    for e0, k in exact_level_edges(n):
+        assert montecarlo._exact_level(n, e0) == k and montecarlo._exact_level(n, e0 + 1) == k - 1
+        for e in (e0, e0 + 1):
+            mats = rng.integers(-e, e, size=(6, n, n), dtype=np.int64, endpoint=True)
+            mats = np.concatenate([mats, [e * sylvester(n), -e * sylvester(n), np.full((n, n), e)]])
+            mats[-1, 0, 0] = e - 1
+            route, primes = _det_route(n, e)
+            routes = {route: primes, "crt": _crt_primes_for(n, max(e, 10**6))}
+            if route == "none" and _det_route(n, e + 1)[0] == "float64":
+                routes["float64"] = []
+            want = [det_bareiss(m.tolist()) for m in mats]
+            for r, p in routes.items():
+                got, wide = exact_dets_list(mats, p, r)
+                assert got == want, (n, e, r)
+                assert set(wide) == {i for i, d in enumerate(want) if not -(2**63) <= d < 2**63}
+
+
 def test_exact_dets_across_lane_blocks():
-    # the kernel runs in blocks of _DET_CHUNK lanes; lanes on either side of
-    # each block edge must come out right
-    rng = np.random.default_rng(5)
-    mats = rng.integers(-1000, 1000, size=(2 * _DET_CHUNK + 3, 4, 4), dtype=np.int64)
-    got, _ = exact_dets_list(mats, _crt_primes_for(4, 1000))
-    for i in (0, _DET_CHUNK - 1, _DET_CHUNK, 2 * _DET_CHUNK, len(mats) - 1):
-        assert got[i] == det_bareiss(mats[i].tolist()), i
+    # the batch draws and expands _DET_BLOCK lanes at a time; lanes on either
+    # side of each block edge, wide ones included, must land at their index.
+    # m = 1024 rejects no lane, so the stream's counter reaches the end of its
+    # last round only if the draw runs to its end
+    for dim, m, shift, cnt in (
+        (4, 2001, 1000, 2 * _DET_BLOCK + 3),
+        (8, 3000, 0, 2 * _DET_BLOCK + 3),
+        (3, 2**41 + 1, 2**40, 2 * _DET_BLOCK + 3),
+        (4, 1024, 0, 4 * _DET_BLOCK),
+    ):
+        route, primes = _det_route(dim, max(m - 1 - shift, shift))
+        s = RngStream(dim)
+        low, wide = montecarlo._stream_dets(s, cnt, dim, m, shift, primes, route)
+        whole = RngStream(dim)
+        mats = whole.uniform_below(m, cnt * dim * dim).reshape(cnt, dim, dim) - shift
+        want_low, want_wide = _exact_dets(mats, primes, route)
+        assert s._idx == whole._idx
+        assert np.array_equal(low, want_low) and wide == want_wide
+        assert route == "none" or len(wide) > cnt // 2
+        for i in (0, _DET_BLOCK - 1, _DET_BLOCK, 2 * _DET_BLOCK, cnt - 1):
+            assert wide.get(i, int(low[i])) == det_bareiss(mats[i].tolist()), (dim, i)
 
 
 def test_exact_dets_cross_check_raises_on_mismatch(monkeypatch):
@@ -662,17 +735,27 @@ def test_det_benchmark_counts_are_pinned(threads):
     assert estimate_det_coprime(3, 10, 200_000, seed=1004, threads=threads).successes == 74664
 
 
-def test_det_batch_memory():
-    # one batch of 2^16 dim-6 pairs, entries below 1000: each 9.4 MB int32
-    # stack is drawn after the one before it is done with, and the expansion
-    # holds one block of lanes at a time
+def det_batch_peak(threads):
+    """tracemalloc's peak over one batch of 2^16 dim-6 pairs per thread,
+    entries below 1000."""
     tracemalloc.start()
     try:
-        estimate_det_coprime(6, 1000, BATCH_SIZE, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_det_coprime(6, 1000, threads * BATCH_SIZE, seed=5, threads=threads)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2**20
+
+
+def test_det_batch_memory():
+    # each stack goes from draw to determinants one lane block at a time, so
+    # a batch holds its two int64 determinant vectors (1 MiB) and one block:
+    # measured 4.1 MiB (19.9 MiB when each 9.4 MB stack was drawn whole)
+    assert det_batch_peak(1) < 6 * 2**20
+
+
+def test_det_batch_memory_at_two_threads():
+    # two batches at once: measured 8.2 MiB (39.4 MiB with whole stacks)
+    assert det_batch_peak(2) < 12 * 2**20
 
 
 def test_det_trials_cap_scales_with_the_route(monkeypatch):
@@ -680,7 +763,7 @@ def test_det_trials_cap_scales_with_the_route(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_batches", lambda *a: batches.append(a) or 0)
     # dim 6 at entries below 1000 (float64 route) keeps the whole cap
     estimate_det_coprime(6, 1000, montecarlo.TRIALS_MAX["det"], seed=0)
-    # dim 8 at entries near 2^62 runs 16 CRT primes: about 0.2 ms a trial
+    # dim 8 at entries near 2^62 runs 16 CRT primes: about 0.1 ms a trial
     route, primes = _det_route(8, 2**62 - 1)
     cap = int(montecarlo.DET_BUDGET_US / montecarlo._det_trial_us(8, 2**62 - 1, route, len(primes)))
     assert 10**5 < cap < 10**6
