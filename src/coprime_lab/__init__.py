@@ -30,10 +30,10 @@ _EXPORTS = {
         "constants",
     ),
     **dict.fromkeys(("PrecisionError", "ResourceLimitError"), "errors"),
+    "FunctionSpec": "limits",
     **dict.fromkeys(
         (
             "DensityResult",
-            "FunctionSpec",
             "coprime_pair_count",
             "f_gcd_density",
             "gcd_equal_count",

@@ -3,9 +3,13 @@
 One experiment per invocation; every result is one record per line, JSON
 lines by default or CSV with a fixed column set. Exit codes: 0 success,
 2 invalid arguments, 3 resource limit or overflow, 1 internal failure.
-"""
 
-from __future__ import annotations
+A command is checked before any layer loads: its flags here, then its
+sizes and caps against the library function's row of ``limits``, so a
+refusal or argument error costs no numpy import. Importing this module
+loads argparse, json and the package's own stdlib-only modules, nothing
+else.
+"""
 
 import argparse
 import json
@@ -13,10 +17,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import __version__
 from .errors import ResourceLimitError
@@ -49,6 +50,7 @@ class _Layer:
 
 constants = _Layer("constants")
 exact = _Layer("exact")
+limits = _Layer("limits")  # stdlib only; a const run or --help never reads it
 montecarlo = _Layer("montecarlo")
 
 CSV_HEADER = "experiment,n,numerator,denominator,value,reference,abs_gap,ci_low,ci_high,seed,elapsed_ms"
@@ -68,20 +70,21 @@ def _round12(x):
     return float(_fmt_real(x)) if x is not None else None
 
 
-@dataclass
 class ExperimentRecord:
-    experiment: str
-    n: int | None
-    params: dict
-    value: float
-    numerator: int | None = None
-    denominator: int | None = None
-    reference: float | None = None
-    abs_gap: float | None = None
-    ci95: tuple[float, float] | None = None
-    seed: int | None = None
-    elapsed_ms: int | None = None  # library time of the record; None until measured
-    tool_version: str = field(default=__version__)
+    """One output record; elapsed_ms is its library time, None until measured."""
+
+    __slots__ = ("experiment", "n", "params", "value", "numerator", "denominator", "reference",
+                 "abs_gap", "ci95", "seed", "elapsed_ms", "tool_version")
+
+    def __init__(self, experiment: str, n: int | None, params: dict, value: float,
+                 numerator: int | None = None, denominator: int | None = None,
+                 reference: float | None = None, abs_gap: float | None = None,
+                 ci95: tuple[float, float] | None = None, seed: int | None = None,
+                 elapsed_ms: int | None = None, tool_version: str = __version__):
+        self.experiment, self.n, self.params, self.value = experiment, n, params, value
+        self.numerator, self.denominator = numerator, denominator
+        self.reference, self.abs_gap, self.ci95, self.seed = reference, abs_gap, ci95, seed
+        self.elapsed_ms, self.tool_version = elapsed_ms, tool_version
 
     def json_line(self) -> str:
         doc = {"experiment": self.experiment, "params": self.params}
@@ -108,7 +111,7 @@ class ExperimentRecord:
         return ",".join("" if c is None else str(c) for c in cols)
 
 
-def _from_density(res: exact.DensityResult, params: dict) -> ExperimentRecord:
+def _from_density(res: "exact.DensityResult", params: dict) -> ExperimentRecord:
     return ExperimentRecord(
         experiment=res.kind,
         n=res.n,
@@ -121,7 +124,7 @@ def _from_density(res: exact.DensityResult, params: dict) -> ExperimentRecord:
     )
 
 
-def _from_constant(tag: str, n, cv: constants.ConstantValue, params: dict) -> ExperimentRecord:
+def _from_constant(tag: str, n, cv: "constants.ConstantValue", params: dict) -> ExperimentRecord:
     params = dict(params)
     params["abs_error_bound"] = cv.abs_error_bound
     params["method"] = cv.method
@@ -129,7 +132,7 @@ def _from_constant(tag: str, n, cv: constants.ConstantValue, params: dict) -> Ex
     return ExperimentRecord(experiment=tag, n=n, params=params, value=cv.value)
 
 
-def _from_mc(est: montecarlo.McEstimate, n) -> ExperimentRecord:
+def _from_mc(est: "montecarlo.McEstimate", n) -> ExperimentRecord:
     kind = est.kind
     p = est.params
     ref = constants.reference_constant(
@@ -152,37 +155,35 @@ def _from_mc(est: montecarlo.McEstimate, n) -> ExperimentRecord:
 # ---------------------------------------------------------------------------
 
 
-class Exact(NamedTuple):
-    flags: tuple[str, ...]  # required and recorded in params; the first is the size
-    call: Callable  # args -> exact.DensityResult
+#: An exact experiment: its flags, required and recorded in params (the
+#: first is the size; --f passes the library function its spec), and the
+#: exact function they are the keyword arguments of.
+Exact = namedtuple("Exact", "flags function")
 
+#: A constant: call(args, eps) -> constants.ConstantValue; the flag recorded
+#: as n and first in params, if any; and whether it reads --eps (default
+#: DEFAULT_EPS).
+Const = namedtuple("Const", "call n eps", defaults=(None, True))
 
-class Const(NamedTuple):
-    call: Callable  # (args, eps) -> constants.ConstantValue
-    n: str | None = None  # flag recorded as n and first in params
-    eps: bool = True  # reads --eps (default DEFAULT_EPS); False for a constant that takes none
-
-
-class Mc(NamedTuple):
-    n: str  # flag recorded as n
-    call: Callable  # args -> montecarlo.McEstimate
-
+#: A Monte Carlo experiment: the flag recorded as n, the montecarlo function,
+#: and its size arguments, keyed by their flags.
+Mc = namedtuple("Mc", "n function sizes")
 
 # Each experiment is declared once, here; the parser's choices, the flag
-# check, dispatch and convergence read these tables. Calls look library
-# functions up when they run, so a patched or wrapped function is the one
-# called.
+# check, the limits check, dispatch and convergence read these tables. Calls
+# look library functions up when they run, so a patched or wrapped function
+# is the one called, and the limits row of that function is the one checked.
 EXACT = {
-    "pair": Exact(("n",), lambda a: exact.coprime_pair_count(a.n)),
-    "odd-pair": Exact(("n",), lambda a: exact.odd_coprime_pair_count(a.n)),
-    "gcd-eq": Exact(("n", "t"), lambda a: exact.gcd_equal_count(a.n, a.t)),
-    "ktuple": Exact(("n", "k"), lambda a: exact.ktuple_coprime_count(a.n, a.k)),
-    "triple3": Exact(("n",), lambda a: exact.pairwise_coprime_triple_count(a.n)),
-    "squarefree": Exact(("n",), lambda a: exact.squarefree_count(a.n)),
-    "kfree": Exact(("n", "j"), lambda a: exact.kfree_count(a.n, a.j)),
-    "visible": Exact(("radius",), lambda a: exact.visible_points_in_disk(a.radius)),
-    "fgcd": Exact(("n", "f"), lambda a: exact.f_gcd_density(a.n, _function_spec(a))),
-    "prime-density": Exact(("x",), lambda a: exact.prime_density(a.x)),
+    "pair": Exact(("n",), "coprime_pair_count"),
+    "odd-pair": Exact(("n",), "odd_coprime_pair_count"),
+    "gcd-eq": Exact(("n", "t"), "gcd_equal_count"),
+    "ktuple": Exact(("n", "k"), "ktuple_coprime_count"),
+    "triple3": Exact(("n",), "pairwise_coprime_triple_count"),
+    "squarefree": Exact(("n",), "squarefree_count"),
+    "kfree": Exact(("n", "j"), "kfree_count"),
+    "visible": Exact(("radius",), "visible_points_in_disk"),
+    "fgcd": Exact(("n", "f"), "f_gcd_density"),
+    "prime-density": Exact(("x",), "prime_density"),
 }
 
 CONST = {
@@ -198,11 +199,11 @@ CONST = {
 }
 
 MC = {
-    "pair": Mc("max", lambda a: montecarlo.estimate_coprime_pair(a.max, a.trials, a.seed, a.threads)),
-    "triple3": Mc("max", lambda a: montecarlo.estimate_pairwise_triple(a.max, a.trials, a.seed, a.threads)),
-    "gaussian": Mc("box", lambda a: montecarlo.estimate_gaussian_coprime(a.box, a.trials, a.seed, a.threads)),
-    "det": Mc("entry_max", lambda a: montecarlo.estimate_det_coprime(
-        a.dim, a.entry_max, a.trials, a.seed, a.threads, symmetric_entries=a.symmetric_entries)),
+    "pair": Mc("max", "estimate_coprime_pair", {"max": "range_max"}),
+    "triple3": Mc("max", "estimate_pairwise_triple", {"max": "range_max"}),
+    "gaussian": Mc("box", "estimate_gaussian_coprime", {"box": "box_half_width"}),
+    "det": Mc("entry_max", "estimate_det_coprime",
+              {"dim": "dim", "entry_max": "entry_max", "symmetric_entries": "symmetric_entries"}),
 }
 
 #: Exact experiments whose only flag is their size, triple3 (whose large
@@ -213,18 +214,25 @@ CONVERGENCE = tuple(sorted((op for op, e in EXACT.items() if len(e.flags) == 1),
 EXACT_INTS = tuple(dict.fromkeys(f for e in EXACT.values() for f in e.flags if f != "f"))
 
 
-def _function_spec(args) -> exact.FunctionSpec:
+def _function_spec(args) -> "limits.FunctionSpec":
+    """The growth function of --f; its constructors parse --alpha and --c as fractions."""
     if args.f == "alpha_n":
         alpha = args.alpha if args.alpha is not None else "sqrt2"
         if alpha == "sqrt2":
-            return exact.FunctionSpec.sqrt2_times_n()
-        return exact.FunctionSpec.alpha_times_n(Fraction(alpha))
+            return limits.FunctionSpec.sqrt2_times_n()
+        return limits.FunctionSpec.alpha_times_n(alpha)
     if args.c is None:
         raise ValueError("--f pow_c needs --c")
-    return exact.FunctionSpec.n_pow_c(Fraction(args.c))
+    return limits.FunctionSpec.n_pow_c(args.c)
 
 
-def _run_exact(args) -> list[ExperimentRecord]:
+def _exact_args(args) -> dict:
+    """The exact function's keyword arguments: its flags, --f as the spec."""
+    return {"spec" if f == "f" else f: _function_spec(args) if f == "f" else getattr(args, f)
+            for f in EXACT[args.operation].flags}
+
+
+def _check_exact(args) -> None:
     entry = EXACT[args.operation]
     for flag in entry.flags:
         if getattr(args, flag) is None:
@@ -233,15 +241,23 @@ def _run_exact(args) -> list[ExperimentRecord]:
     unread = [f for f in EXACT_INTS + ("alpha", "c") if f not in read and getattr(args, f, None) is not None]
     if unread:
         raise ValueError(f"{args.operation} does not read --{unread[0]}")
+    limits.check(entry.function, **_exact_args(args))
+
+
+def _run_exact(args) -> list[ExperimentRecord]:
+    kwargs = _exact_args(args)
     # the growth function is recorded by its label
-    params = {f: _function_spec(args).label if f == "f" else getattr(args, f) for f in entry.flags}
-    return [_from_density(entry.call(args), params)]
+    params = {f: kwargs["spec"].label if f == "f" else kwargs[f] for f in EXACT[args.operation].flags}
+    return [_from_density(getattr(exact, EXACT[args.operation].function)(**kwargs), params)]
+
+
+def _check_const(args) -> None:
+    if not CONST[args.operation].eps and args.eps is not None:
+        raise ValueError(f"{args.operation} does not read --eps")
 
 
 def _run_const(args) -> list[ExperimentRecord]:
     entry = CONST[args.operation]
-    if not entry.eps and args.eps is not None:
-        raise ValueError(f"{args.operation} does not read --eps")
     n = None if entry.n is None else getattr(args, entry.n)
     params = {} if entry.n is None else {entry.n: "inf" if n is None else n}  # --dim inf parses to None
     if entry.eps:
@@ -250,13 +266,48 @@ def _run_const(args) -> list[ExperimentRecord]:
     return [_from_constant("const_" + args.operation.replace("-", "_"), n, cv, params)]
 
 
+def _mc_args(args) -> dict:
+    """The montecarlo function's keyword arguments."""
+    entry = MC[args.operation]
+    sizes = {param: getattr(args, flag) for flag, param in entry.sizes.items()}
+    return dict(sizes, trials=args.trials, seed=args.seed, threads=args.threads)
+
+
+def _check_mc(args) -> None:
+    limits.check(MC[args.operation].function, **_mc_args(args))
+
+
 def _run_mc(args) -> list[ExperimentRecord]:
     entry = MC[args.operation]
-    return [_from_mc(entry.call(args), getattr(args, entry.n))]
+    return [_from_mc(getattr(montecarlo, entry.function)(**_mc_args(args)), getattr(args, entry.n))]
 
 
 def _run_report(args) -> list[ExperimentRecord]:
     return convergence(args.experiment, args.ns, args.seed, args.threads)
+
+
+def _runs_mc(kind: str, n: int) -> bool:
+    """Whether convergence runs n on Monte Carlo: triple3 past the brute-force bound."""
+    return kind == "triple3" and n > limits.TRIPLE_BRUTE_BOUND
+
+
+def _check_convergence(kind: str, ns: list[int], seed: int | None) -> None:
+    """Refuse a table whose sizes, or any one row, would be refused."""
+    if not ns:
+        raise ValueError("--ns needs at least one size")
+    if list(ns) != sorted(ns) or len(set(ns)) != len(ns):
+        raise ValueError("--ns must be strictly ascending")
+    if kind not in CONVERGENCE:
+        raise ValueError(f"convergence supports {CONVERGENCE}, got {kind!r}")
+    for n in ns:
+        if not _runs_mc(kind, n):
+            _check_exact(argparse.Namespace(operation=kind, **{EXACT[kind].flags[0]: n}))
+        elif seed is None:
+            raise ResourceLimitError(
+                f"triple3 beyond n = {limits.TRIPLE_BRUTE_BOUND} runs Monte Carlo; pass --seed"
+            )
+        else:
+            limits.check("estimate_pairwise_triple", range_max=n, trials=CONVERGENCE_MC_TRIALS)
 
 
 def convergence(kind: str, ns: list[int], seed: int | None = None, threads: int = 1) -> list[ExperimentRecord]:
@@ -264,23 +315,16 @@ def convergence(kind: str, ns: list[int], seed: int | None = None, threads: int 
 
     Each n is the size flag of the exact experiment. triple3 sizes beyond the
     brute-force bound run the Monte Carlo estimator and then require a seed.
+    Every row is checked before the first runs.
     """
-    if not ns:
-        raise ValueError("--ns needs at least one size")
-    if list(ns) != sorted(ns) or len(set(ns)) != len(ns):
-        raise ValueError("--ns must be strictly ascending")
-    if kind not in CONVERGENCE:
-        raise ValueError(f"convergence supports {CONVERGENCE}, got {kind!r}")
+    _check_convergence(kind, ns, seed)
     records = []
     for n in ns:
         # each row's clock starts after the layer it calls is loaded
-        if kind != "triple3" or n <= exact.TRIPLE_BRUTE_BOUND:
+        if not _runs_mc(kind, n):
+            exact.load()
             t0 = time.perf_counter()
             (rec,) = _run_exact(argparse.Namespace(operation=kind, **{EXACT[kind].flags[0]: n}))
-        elif seed is None:
-            raise ResourceLimitError(
-                f"triple3 beyond n = {exact.TRIPLE_BRUTE_BOUND} runs Monte Carlo; pass --seed"
-            )
         else:
             montecarlo.load()
             t0 = time.perf_counter()
@@ -341,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="exact sieve-based counts", parents=[common])
-    p_exact.set_defaults(run=_run_exact, layers=(exact,))
+    p_exact.set_defaults(check=_check_exact, run=_run_exact, layers=(exact,))
     p_exact.add_argument("operation", choices=EXACT)
     for flag in EXACT_INTS:
         p_exact.add_argument(f"--{flag}", type=int)
@@ -350,14 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--c", default=None, help="non-integer decimal exponent")
 
     p_const = sub.add_parser("const", help="analytic constants with error bounds", parents=[common])
-    p_const.set_defaults(run=_run_const, layers=(constants,))
+    p_const.set_defaults(check=_check_const, run=_run_const, layers=(constants,))
     p_const.add_argument("operation", choices=CONST)
     p_const.add_argument("--k", type=int, default=2)
     p_const.add_argument("--dim", type=dimension, default=None, help="matrix dimension or 'inf'")
     p_const.add_argument("--eps", type=positive_finite_float, default=None, help="tolerance (default 1e-9)")
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimates", parents=[common])
-    p_mc.set_defaults(run=_run_mc, layers=(montecarlo, constants))
+    p_mc.set_defaults(check=_check_mc, run=_run_mc, layers=(montecarlo, constants))
     p_mc.add_argument("operation", choices=MC)
     p_mc.add_argument("--max", type=int, default=10**9)
     p_mc.add_argument("--box", type=int, default=1000)
@@ -368,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--symmetric-entries", action="store_true")
 
     p_rep = sub.add_parser("report", help="convergence tables", parents=[common])
-    p_rep.set_defaults(run=_run_report, layers=(exact,))
+    p_rep.set_defaults(check=lambda a: _check_convergence(a.experiment, a.ns, a.seed),
+                       run=_run_report, layers=(exact,))
     p_rep.add_argument("operation", choices=("convergence",))
     p_rep.add_argument("--experiment", required=True, choices=CONVERGENCE)
     p_rep.add_argument("--ns", type=sizes, required=True, help="comma-separated ascending sizes")
@@ -400,9 +445,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
 
 
 def _execute(args, out) -> int:
-    """Run the command; a record's elapsed_ms is library time, import excluded,
-    the whole run's unless the record timed itself."""
+    """Check the command, then run it; a record's elapsed_ms is library time,
+    import excluded, the whole run's unless the record timed itself."""
     try:
+        args.check(args)
         for layer in args.layers:
             layer.load()
         t0 = time.perf_counter()

@@ -8,15 +8,16 @@ fixed-point integers by Algorithm 1 of Cohen, Rodriguez Villegas & Zagier
 multiply the primes up to 1000 factor by factor and take the rest through
 the prime zeta function, with analytic tail bounds; every sum of floats is
 a ``math.fsum``, which rounds once. The module loads neither numpy nor the
-sieve: its primes and Möbius values come from a few lines below.
+sieve: its primes and Möbius values come from a few lines below. Nor does
+it load dataclasses or fractions at import: a const run pays only for the
+constant it prints, and the two series builders that use Fraction import it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import PrecisionError
@@ -44,14 +45,10 @@ _FIX = 128
 _U = 2.0**-53
 
 
-@dataclass(frozen=True)
-class ConstantValue:
+class ConstantValue(namedtuple("ConstantValue", "value abs_error_bound method params")):
     """A computed constant: true value lies in value +- abs_error_bound."""
 
-    value: float
-    abs_error_bound: float
-    method: str
-    params: dict
+    __slots__ = ()
 
 
 def _crvz_weights(n: int) -> tuple[int, tuple[int, ...]]:
@@ -149,6 +146,8 @@ def _neg_log_series(f: list) -> list:
     From f (-log f)' = -f', the integers e_n = n c_n satisfy Newton's
     identities e_n = -n f_n - sum_{0<j<n} f_j e_{n-j}.
     """
+    from fractions import Fraction
+
     f = list(f) + [0] * (_SERIES_DEGREE + 1 - len(f))
     e = [0] * (_SERIES_DEGREE + 1)
     for n in range(1, _SERIES_DEGREE + 1):
@@ -298,6 +297,8 @@ def gaussian_coprime_constant(eps: float = 1e-9) -> ConstantValue:
 
 def pairwise_triple_constant(eps: float = 1e-9) -> ConstantValue:
     """Q = (36/pi^4) prod_p (1 - (p+1)^-2): pairwise-coprime triple density."""
+    from fractions import Fraction
+
     # -log(1 - (p+1)^-2) = log((1 + x)^2 / (1 + 2x)) at x = 1/p, so
     # c_s = (-1)^s (2^s - 2)/s and |c_s| <= 2^s
     coeffs = [Fraction(0)] + [

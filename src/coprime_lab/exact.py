@@ -4,38 +4,37 @@ Every operation returns a :class:`DensityResult` whose numerator and
 denominator are exact integers (Python ints never wrap, a count below
 2^64 is its wrapping uint64 residue, int64 sums stay in proven bounds,
 summatory recurrences run in uint64 residues lifted to exact integers,
-and fgcd floors are float estimates proven lane by lane or redone in
-integers). The float ``value`` is the correctly rounded quotient.
+the pairwise-triple count multiplies float32 row blocks whose every entry
+is an integer below 2^24 and sums them below 2^53, and fgcd floors are
+float estimates proven lane by lane or redone in integers). The float
+``value`` is the correctly rounded quotient.
+
+Each operation first runs its row of :mod:`coprime_lab.limits`, which holds
+the argument ranges, caps and the sieve-table need, so a refusal comes
+before any table or lane exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, pi
 
 import numpy as np
 
 from . import constants
-from .errors import ResourceLimitError
 from .kernels import gcd_lanes
+from .limits import SMALL_TABLE, FunctionSpec, _floor_bits, _reduced, check, iroot, table_need
 from .sieve import primes_up_to, shared_tables
 
-#: Largest n accepted by the brute-force pairwise-triple counter.
-TRIPLE_BRUTE_BOUND = 2000
+# limits owns these; callers also import them from here
+from .limits import (  # noqa: F401
+    FGCD_MAX, FGCD_SLOW_BUDGET_US, PRIME_DENSITY_MAX, TRIPLE_BRUTE_BOUND, VISIBLE_MAX,
+    _base_size, _floor_f_us, _unproven_lanes,
+)
 
-#: Largest x prime_density accepts: pi(1e11) takes about 1 s (2 vCPUs).
-PRIME_DENSITY_MAX = 10**11
-
-#: Largest n f_gcd_density accepts: sqrt(2)*n at 1e7 takes 0.6-1 s (2 vCPUs).
-FGCD_MAX = 10**7
-
-#: Microseconds that the lanes of one fgcd count sent to floor_f may take
-#: by _floor_f_us: 2 s, which FGCD_MAX's vectorised lanes also stay within.
-FGCD_SLOW_BUDGET_US = 2 * 10**6
-
-#: Largest radius visible_points_in_disk accepts: 1e7 takes about 3.5 s (2 vCPUs).
-VISIBLE_MAX = 10**7
+#: Rows of the coprimality matrix per block of the triple count: about 47 MB
+#: peak and 0.38 s at n = 2000 on one thread (2 vCPUs).
+_TRIPLE_ROWS = 128
 
 #: Lanes per block of the vectorised sums (the Möbius sums' term-by-term
 #: part, visible, fgcd), which bounds their working memory at any size.
@@ -72,22 +71,14 @@ def _result(kind, n, num, den, reference=None):
 
 _MOD = 1 << 64
 
-#: Smallest base table the public routes use (all of n below it): a table
-#: this size costs less than the recurrence's per-step numpy overhead.
-_SMALL_TABLE = 10**4
-
-
-def _base_size(n: int, j: int = 1) -> int:
-    """Base table size for the recurrence at n: about n^(2/(2j+1)), at most iroot(n, j)."""
-    return min(iroot(n, j), iroot(n * n, 2 * j + 1))
+#: Smallest base table the public routes use, limits.SMALL_TABLE.
+_SMALL_TABLE = SMALL_TABLE
 
 
 def _table_size(n: int, j: int = 1) -> int:
     """Base table size the public routes use: the shared table's limit, at
     least _base_size(n, j) (all of iroot(n, j) when small), at most iroot(n, j)."""
-    top = iroot(n, j)
-    cold = min(top, max(_SMALL_TABLE, _base_size(n, j)))
-    return min(top, shared_tables(cold).limit)
+    return min(iroot(n, j), shared_tables(table_need(n, j, _SMALL_TABLE)).limit)
 
 
 def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.ndarray:
@@ -221,8 +212,7 @@ def totient_sum(n: int) -> int:
     Sums a table for small n and runs the sublinear recurrence from a base
     table of about n^(2/3) above, which handles n far beyond any table.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check("totient_sum", n=n)
     if n == 0:
         return 0
     return _totient_at(n, _table_size(n))
@@ -234,8 +224,7 @@ def coprime_ordered_count_mobius(n: int) -> int:
     Reads the Mertens function at quotient points only, so it runs at every
     n whose base table (about n^(2/3)) fits under the configured sieve cap.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check("coprime_ordered_count_mobius", n=n)
     return _mobius_sum(n, 2)
 
 
@@ -254,8 +243,7 @@ def _pair_numerator(n: int) -> int:
 
 def coprime_pair_count(n: int) -> DensityResult:
     """Exact count of unordered coprime pairs i < k <= n over all pairs."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check("coprime_pair_count", n=n)
     ref = constants.reference_constant("pair").value
     return _result("pair", n, _pair_numerator(n), n * (n - 1) // 2, ref)
 
@@ -266,20 +254,14 @@ def gcd_equal_count(n: int, t: int) -> DensityResult:
     Scaling (i, k) -> (i/t, k/t) is a bijection onto coprime pairs below
     floor(n/t), so the numerator reuses the pair counter.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    check("gcd_equal_count", n=n, t=t)
     ref = constants.reference_constant("gcd_eq", t=t).value
     return _result("gcd_eq", n, _pair_numerator(n // t), n * (n - 1) // 2, ref)
 
 
 def ktuple_coprime_count(n: int, k: int) -> DensityResult:
     """Exact count of ordered k-tuples from [1,n]^k with overall gcd 1."""
-    if not 2 <= k <= 10:
-        raise ValueError(f"k must be in [2, 10], got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check("ktuple_coprime_count", n=n, k=k)
     ref = constants.reference_constant("ktuple", k=k).value
     return _result("ktuple", n, _mobius_sum(n, k), n**k, ref)
 
@@ -288,22 +270,28 @@ def pairwise_coprime_triple_count(n: int) -> DensityResult:
     """Exact count of ordered triples from [1,n]^3 that are pairwise coprime.
 
     Full enumeration, expressed as sum over (b, c) of G[b,c] * (G^2)[b,c]
-    with G the 0/1 coprimality matrix. Every partial sum, in the float matmul
-    and in the final sum, is a nonnegative integer at most n^3 < 2^53, so
-    each float addition is exact: no summation order (BLAS blocking or
-    thread count) can change the count.
+    with G the symmetric 0/1 coprimality matrix, built once in float32 rows
+    from kernels.gcd_lanes, _TRIPLE_ROWS rows at a time; the sum then runs
+    over the same row blocks G_b as G_b * (G_b @ G). Each entry of G_b @ G,
+    and every partial sum inside the float32 matmul, is an integer count of
+    at most n <= 2000 < 2^24, and each product with G_b is one of them or 0,
+    so all are exact in float32 under any BLAS blocking or thread count.
+    Each block is summed with a float64 accumulator, and each block sum, the
+    total and every partial sum on the way is an integer at most
+    n^3 < 2^53, so those additions are exact too: no summation order can
+    change the count.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > TRIPLE_BRUTE_BOUND:
-        raise ResourceLimitError(
-            f"exact pairwise-triple counting is brute force and capped at "
-            f"n = {TRIPLE_BRUTE_BOUND}; use the Monte Carlo estimator for n = {n}"
-        )
+    check("pairwise_coprime_triple_count", n=n)
     ref = constants.reference_constant("triple3").value
-    r = np.arange(1, n + 1, dtype=np.int64)
-    g = (np.gcd.outer(r, r) == 1).astype(np.float64)
-    num = int(round(float(np.sum(g * (g @ g)))))
+    r = np.arange(1, n + 1, dtype=np.int32)
+    g = np.empty((n, n), dtype=np.float32)
+    for lo in range(0, n, _TRIPLE_ROWS):
+        b = r[lo : lo + _TRIPLE_ROWS]
+        g[lo : lo + len(b)] = (gcd_lanes(np.repeat(b, n), np.tile(r, len(b))) == 1).reshape(len(b), n)
+    num = 0
+    for lo in range(0, n, _TRIPLE_ROWS):
+        gb = g[lo : lo + _TRIPLE_ROWS]
+        num += int(np.sum(gb * (gb @ g), dtype=np.float64))
     return _result("triple3", n, num, n**3, ref)
 
 
@@ -313,8 +301,7 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
     Ordered coprime odd pairs are sum over odd squarefree d of
     mu(d) * (#odd multiples of d up to n)^2; the only diagonal pair is (1,1).
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check("odd_coprime_pair_count", n=n)
     ref = constants.reference_constant("odd_pair").value
     ordered = _mobius_sum(n, 2, odd=True)
     m = (n + 1) // 2
@@ -324,10 +311,7 @@ def odd_coprime_pair_count(n: int) -> DensityResult:
 def kfree_count(n: int, j: int = 2) -> DensityResult:
     """Exact count of m <= n divisible by no j-th power of a prime: the
     Möbius sum of n // d^j, from a base table of about n^(2/(2j+1)) entries."""
-    if not 2 <= j <= 16:
-        raise ValueError(f"j must be in [2, 16], got {j}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check("kfree_count", n=n, j=j)
     ref = constants.reference_constant("kfree", j=j).value
     kind = "squarefree" if j == 2 else "kfree"
     return _result(kind, n, _mobius_sum(n, 1, j=j), n, ref)
@@ -362,10 +346,7 @@ def visible_points_in_disk(radius: int) -> DensityResult:
     R <= 1e7, and the lane total, the sum over squarefree d <= R of R // d,
     is at most R (1 + ln R) < 1.8e8 < 2^31.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if radius > VISIBLE_MAX:
-        raise ResourceLimitError(f"disk scan capped at radius {VISIBLE_MAX:.0e}, got {radius}")
+    check("visible_points_in_disk", radius=radius)
     ref = constants.reference_constant("visible").value
     mu = shared_tables(radius).mu[: radius + 1]
     Y = np.empty(radius + 1, dtype=np.int32)
@@ -406,10 +387,7 @@ def prime_density(x: int) -> DensityResult:
     off every v >= p^2, leaving S(v) = pi(v). x // (kp) sits at index kp - 1
     if kp <= s; every other v // p, which is below x // s, at len(V) - v // p.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > PRIME_DENSITY_MAX:
-        raise ResourceLimitError(f"prime counting capped at x = {PRIME_DENSITY_MAX:.0e}, got {x}")
+    check("prime_density", x=x)
     ref = constants.reference_constant("prime_density").value
     s, xs = isqrt(x), x // isqrt(x)
     V = np.concatenate([x // np.arange(1, s + 1, dtype=np.int64), np.arange(xs - 1, 0, -1)])
@@ -427,66 +405,6 @@ def prime_density(x: int) -> DensityResult:
 # ---------------------------------------------------------------------------
 
 
-def iroot(x: int, k: int) -> int:
-    """Floor of the k-th root of x >= 0, exactly.
-
-    Integer Newton from r >= x^(1/k) decreases strictly while r exceeds the
-    floor root and never drops below it (AM-GM), so it stops there.
-    """
-    if x < 0 or k < 1:
-        raise ValueError(f"need x >= 0 and k >= 1, got x={x}, k={k}")
-    if k == 1:
-        return x
-    if x.bit_length() <= k:  # x < 2^k, root 0 or 1; also spares Newton a huge r^(k-1)
-        return min(x, 1)
-    r = 1 << -(-x.bit_length() // k)
-    while (nr := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
-        r = nr
-    return r
-
-
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A growth function f for the gcd(m, floor(f(m))) experiment.
-
-    floor(f(m)) is the largest r >= 0 with B*r^q <= A*m^p, and label names f
-    in records: sqrt(2)*m is (2, 2, 1, 2), (a/b)*m with a/b > 0 is
-    (a, 1, b, 1) and m^(p/q) with p/q > 0 not an integer is (1, p, 1, q).
-    """
-
-    A: int
-    p: int
-    B: int
-    q: int
-    label: str
-
-    @staticmethod
-    def sqrt2_times_n() -> "FunctionSpec":
-        return FunctionSpec(2, 2, 1, 2, "sqrt2*n")
-
-    @staticmethod
-    def alpha_times_n(alpha) -> "FunctionSpec":
-        alpha = Fraction(alpha)
-        if alpha <= 0:
-            raise ValueError("alpha_times_n needs alpha > 0")
-        return FunctionSpec(alpha.numerator, 1, alpha.denominator, 1, f"{alpha}*n")
-
-    @staticmethod
-    def n_pow_c(c) -> "FunctionSpec":
-        c = Fraction(c)
-        if c <= 0 or c.denominator == 1:
-            raise ValueError("n_pow_c needs a non-integer rational c > 0")
-        return FunctionSpec(1, c.numerator, 1, c.denominator, f"n^{c}")
-
-
-def _floor_bits(spec: FunctionSpec, m: int) -> int:
-    """About the bits of A*m^p, which floor_f refuses past 10^6."""
-    bits = spec.p * m.bit_length()
-    if bits > 1_000_000:
-        raise OverflowError(f"f = {spec.label} at a {m.bit_length()}-bit m is too large to evaluate")
-    return bits
-
-
 def floor_f(spec: FunctionSpec, m: int) -> int:
     """floor(f(m)) for a single m >= 1: iroot(A*m^p // B, q) in exact integers,
     by math.isqrt for q = 2 (about 24 times faster than Newton at 48,000 bits)."""
@@ -495,25 +413,6 @@ def floor_f(spec: FunctionSpec, m: int) -> int:
     _floor_bits(spec, m)
     x = spec.A * m**spec.p // spec.B
     return isqrt(x) if spec.q == 2 else iroot(x, spec.q)
-
-
-def _floor_f_us(bits: int) -> float:
-    """Microseconds of one floor_f at a bits-bit A*m^p (2 vCPUs), an upper fit
-    from 100 to 150,000 bits: a fixed cost, then the root's long divisions,
-    quadratic in bits."""
-    return 2 + bits / 250 + (bits / 400) ** 2
-
-
-def _unproven_lanes(n: int, A: int, p: int, B: int, q: int) -> int:
-    """How many m <= n _floor_lanes leaves unproven for certain: all of them
-    when max(p, q) + 1 > 1025, else those with r = floor(f(m)) >= 2^52,
-    that is every m from the least m0 with A*m0^p >= B*2^(52q) on."""
-    if max(p, q) + 1 > 1025:
-        return n
-    if A == 0:
-        return 0
-    m0 = iroot(-(-(B << 52 * q) // A) - 1, p) + 1
-    return max(0, n - m0 + 1)
 
 
 def _power(x: np.ndarray, e: int) -> np.ndarray:
@@ -582,21 +481,8 @@ def f_gcd_density(n: int, spec: FunctionSpec) -> DensityResult:
     whose certain floor_f lanes would pass FGCD_SLOW_BUDGET_US is refused
     before any block runs.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > FGCD_MAX:
-        raise ResourceLimitError(f"fgcd counting capped at n = {FGCD_MAX:.0e}, got {n}")
-    bits = _floor_bits(spec, n)
-    A, p, B, q = spec.A, spec.p, spec.B, spec.q
-    if q == 1:  # alpha = A/B: gcd(m, k*m + t) = gcd(m, t), so A mod B counts alike
-        A %= B
-    slow = _unproven_lanes(n, A, p, B, q)
-    slow_us = slow * _floor_f_us(bits)
-    if slow_us > FGCD_SLOW_BUDGET_US:
-        raise ResourceLimitError(
-            f"fgcd with f = {spec.label} at n = {n} leaves {slow} lanes to exact roots,"
-            f" about {slow_us / 1e6:.0f} s against a budget of {FGCD_SLOW_BUDGET_US / 1e6:.0f} s"
-        )
+    check("f_gcd_density", n=n, spec=spec)
+    A, p, B, q = _reduced(spec)
     ref = constants.reference_constant("fgcd").value
     num = 0
     for lo in range(1, n + 1, _FLOOR_BLOCK):

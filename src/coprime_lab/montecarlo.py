@@ -42,13 +42,16 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .kernels import gcd_lanes
+from .limits import DRAW_MAX as _DRAW_MAX, _WRAP, _det_route, _exact_level, check
+
+# limits owns these; callers also import them, and the refusal type, from here
+from .errors import ResourceLimitError  # noqa: F401
+from .limits import DET_BUDGET_US, TRIALS_MAX, _CRT_PRIMES, _crt_primes_for, _det_trial_us  # noqa: F401
 
 #: Fixed batch size for deterministic parallel aggregation.
 BATCH_SIZE = 1 << 16
@@ -72,18 +75,9 @@ _WORD_BLOCK = 1 << 15
 #: (i + 1) * gamma for the i-th word of a block, wrapping.
 _RAMP = np.arange(1, _WORD_BLOCK + 1, dtype=np.uint64) * _G
 
-#: Largest m that RngStream.blocks accepts.
-_DRAW_MAX = 1 << 62
-
-#: Largest trials per estimator, at most about a minute each on one thread
-#: (2 vCPUs) at 0.05-0.07 us a trial for pairs (range_max 1e9) and triples
-#: (1e6), 0.11 us for Gaussian pairs (box 1000) and 0.9-1.0 us for
-#: determinant pairs (dim 6, entries below 1000). Costlier determinant routes
-#: get fewer, by _det_trial_us.
-TRIALS_MAX = {"pair": 5 * 10**8, "triple3": 5 * 10**8, "gaussian": 4 * 10**8, "det": 2 * 10**7}
-
-#: Microseconds of determinant trials one estimate may take by _det_trial_us.
-DET_BUDGET_US = 60 * 10**6
+#: concurrent.futures' pool class, imported when the first pool starts: the
+#: import loads logging and traceback (about 8 ms), which no one-thread run needs.
+ThreadPoolExecutor = None
 
 
 def mix64(z: int) -> int:
@@ -223,11 +217,11 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 def _run_batches(trials, seed, batch_fn, threads):
-    """Sum of batch_fn over the batches. Each has its own seed, so the sum
-    does not depend on the workers (at most the threads, batches and CPUs);
-    the pool gets 64 batches per worker at a time, so memory stays flat."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    """Sum of batch_fn over the batches of trials >= 1. Each has its own
+    seed, so the sum does not depend on the workers (at most the threads,
+    batches and CPUs); the pool gets 64 batches per worker at a time, so
+    memory stays flat."""
+    global ThreadPoolExecutor
     nb = -(-trials // BATCH_SIZE)
 
     def one(b):
@@ -237,14 +231,11 @@ def _run_batches(trials, seed, batch_fn, threads):
     workers = min(threads, nb, os.cpu_count() or 1)
     if workers <= 1:
         return sum(one(b) for b in range(nb))
+    if ThreadPoolExecutor is None:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         step = 64 * workers
         return sum(sum(pool.map(one, range(lo, min(lo + step, nb)))) for lo in range(0, nb, step))
-
-
-def _check_trials(kind: str, trials: int) -> None:
-    if trials > TRIALS_MAX[kind]:
-        raise ResourceLimitError(f"{kind} trials capped at {TRIALS_MAX[kind]:.0e}, got {trials}")
 
 
 def _finish(kind, successes, trials, seed, params) -> McEstimate:
@@ -258,11 +249,6 @@ def _finish(kind, successes, trials, seed, params) -> McEstimate:
 # ---------------------------------------------------------------------------
 # Integer samplers
 # ---------------------------------------------------------------------------
-
-
-def _check_range_max(range_max: int) -> None:
-    if not 1 <= range_max <= _DRAW_MAX:
-        raise ValueError(f"range_max must be in [1, 2^62], got {range_max}")
 
 
 def _divisible_by_3(x: np.ndarray) -> np.ndarray:
@@ -287,8 +273,7 @@ def _kept(keep: np.ndarray, *arrays: np.ndarray) -> list:
 
 def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered pairs from [1, M]^2; success when gcd = 1."""
-    _check_range_max(range_max)
-    _check_trials("pair", trials)
+    check("estimate_coprime_pair", range_max=range_max, trials=trials)
 
     def batch(stream, cnt):
         i = stream.uniform_below(range_max, cnt)
@@ -305,8 +290,7 @@ def estimate_coprime_pair(range_max: int, trials: int, seed: int, threads: int =
 
 def estimate_pairwise_triple(range_max: int, trials: int, seed: int, threads: int = 1) -> McEstimate:
     """Sample ordered triples from [1, M]^3; success when pairwise coprime."""
-    _check_range_max(range_max)
-    _check_trials("triple3", trials)
+    check("estimate_pairwise_triple", range_max=range_max, trials=trials)
 
     def batch(stream, cnt):
         a, b, c = (stream.uniform_below(range_max, cnt) for _ in range(3))
@@ -365,11 +349,7 @@ def estimate_gaussian_coprime(box_half_width: int, trials: int, seed: int, threa
     Coordinates are uniform in [-B, B]; a zero vector is redrawn. Success is
     coprimality in Z[i].
     """
-    if box_half_width < 1:
-        raise ValueError(f"box_half_width must be >= 1, got {box_half_width}")
-    if box_half_width > 1 << 30:
-        raise ValueError("box_half_width above 2^30 would overflow the gcd kernel")
-    _check_trials("gaussian", trials)
+    check("estimate_gaussian_coprime", box_half_width=box_half_width, trials=trials)
 
     def draw_nonzero(stream, cnt):
         re = stream.uniform_signed(box_half_width, cnt)
@@ -430,82 +410,11 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-#: Modulus of the wrapping uint64 residue, the first CRT modulus.
-_WRAP = 1 << 64
-
-#: The 16 largest primes below 2^28 (each checked by the test suite). With
-#: 2^64 their product is just below 2^512, and twice the Hadamard bound at
-#: the widest stacks the sampler draws (dim 8, entries below 2^62) is 2^509,
-#: so those need all 16.
-_CRT_PRIMES = (
-    268435399, 268435367, 268435361, 268435337, 268435331, 268435313,
-    268435291, 268435273, 268435243, 268435183, 268435171, 268435157,
-    268435147, 268435133, 268435129, 268435121,
-)
-
 #: Lanes per block of the minor expansion, drawn and expanded before the
 #: next. A block makes about n 2^n numpy calls at dim n, so the call overhead
 #: grows with the dim as the block's working set does. On one thread 2^12 was
 #: the fastest of 2^11 to 2^14, or within 5% of it, at every dim from 3 to 8.
 _DET_BLOCK = 1 << 12
-
-
-def _crt_primes_for(dim: int, entry_max_abs: int) -> list[int]:
-    """The fewest CRT primes whose product M with 2^64 exceeds twice the
-    Hadamard bound (sqrt(dim) * e)^dim, e = entry_max_abs; none when 2^64
-    alone does. The test is exact in integers: M^2 > 4 * dim^dim * e^(2 dim).
-    """
-    h = 4 * dim**dim * max(entry_max_abs, 1) ** (2 * dim)
-    prod = _WRAP
-    out = []
-    for p in _CRT_PRIMES:
-        if prod * prod > h:
-            break
-        out.append(p)
-        prod *= p
-    if prod * prod <= h:
-        raise OverflowError(
-            f"determinant width for dim {dim}, entry bound {entry_max_abs} exceeds the CRT pool"
-        )
-    return out
-
-
-def _det_trial_us(dim: int, entry_max_abs: int, route: str, primes: int) -> float:
-    """Microseconds of one determinant trial (two matrices) on one thread
-    (2 vCPUs), an upper fit over dims 1-8 and entries from 10 to 2^62.
-
-    The expansion's dim 2^(dim-1) multiplies per lane run once modulo 2^64;
-    those of the levels above _exact_level run once more in float64 on that
-    route, and at 1.5 times that cost per CRT prime. Lanes wider than int64
-    add 4.5 + primes more as Python ints; they are the typical lane once
-    dim! (e^2/3)^dim, about the mean square determinant at entries up to
-    e = entry_max_abs, reaches 2^126.
-    """
-    e = entry_max_abs
-    above = sum(k * math.comb(dim, k) for k in range(_exact_level(dim, e) + 1, dim + 1))
-    passes = (route == "float64") + 1.5 * primes
-    wide = math.factorial(dim) * (e * e) ** dim >= 3**dim << 126
-    return 0.4 + 0.005 * ((dim << (dim - 1)) + above * passes) + wide * (4.5 + primes)
-
-
-def _det_route(dim: int, entry_max_abs: int) -> tuple[str, list[int]]:
-    """How _exact_dets rebuilds the high part of determinants whose entries
-    are at most e = entry_max_abs in magnitude, and with which CRT primes.
-
-    "none" when the 2^64 residue alone covers twice the Hadamard bound;
-    else "float64" where a float64 pass is proven close enough, that is
-    e <= 2^53 and gamma_c * dim! * e^dim < 2^61 with c = dim(dim+1)/2 - 1
-    (see _exact_dets), tested exactly as c * dim! * e^dim < 2^61 (2^53 - c);
-    else "crt" with the primes of _crt_primes_for.
-    """
-    primes = _crt_primes_for(dim, entry_max_abs)
-    if not primes:
-        return "none", []
-    c = dim * (dim + 1) // 2 - 1
-    e = entry_max_abs
-    if e <= 1 << 53 and c * math.factorial(dim) * e**dim < (1 << 61) * ((1 << 53) - c):
-        return "float64", []
-    return "crt", primes
 
 
 @functools.lru_cache(maxsize=8)
@@ -529,13 +438,6 @@ def _minor_schedule(n: int) -> tuple:
         )
         prev = {cols: i for i, cols in enumerate(subsets)}
     return tuple(levels)
-
-
-def _exact_level(n: int, e: int) -> int:
-    """The largest k <= n with k^k e^(2k) < 2^126: by Hadamard's bound every
-    minor of order k of a matrix with entries at most e in magnitude is then
-    below (sqrt(k) e)^k < 2^63, and fits int64."""
-    return max(k for k in range(1, n + 1) if k**k * e ** (2 * k) < 1 << 126)
 
 
 def _expand(a: np.ndarray, minors: np.ndarray, k: int, top: int, reduce=None) -> np.ndarray:
@@ -717,22 +619,10 @@ def estimate_det_coprime(
     Entries are uniform in [0, entry_max), or [-(entry_max-1), entry_max-1]
     with symmetric_entries.
     """
-    if not 1 <= dim <= 8:
-        raise ValueError(f"dim must be in [1, 8], got {dim}")
-    # symmetric entries draw below 2 * entry_max - 1
-    top = _DRAW_MAX // 2 if symmetric_entries else _DRAW_MAX
-    if not 2 <= entry_max <= top:
-        bound = "2^61 with symmetric entries" if symmetric_entries else "2^62"
-        raise ValueError(f"entry_max must be in [2, {bound}], got {entry_max}")
-    _check_trials("det", trials)
+    check("estimate_det_coprime", dim=dim, entry_max=entry_max, trials=trials,
+          symmetric_entries=symmetric_entries)
     emax_abs = entry_max - 1
     route, primes = _det_route(dim, emax_abs)
-    cap = int(DET_BUDGET_US / _det_trial_us(dim, emax_abs, route, len(primes)))
-    if trials > cap:
-        raise ResourceLimitError(
-            f"det trials at dim {dim}, entries up to {emax_abs}, capped at {cap:.2g}, got {trials}"
-        )
-
     m, shift = (2 * emax_abs + 1, emax_abs) if symmetric_entries else (entry_max, 0)
 
     def batch(stream, cnt):

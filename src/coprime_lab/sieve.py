@@ -9,7 +9,6 @@ over the primes up to sqrt(N) build it in a few seconds for N = 1e7..1e8.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from math import isqrt
@@ -17,15 +16,10 @@ from math import isqrt
 import numpy as np
 
 from .errors import ResourceLimitError
+from .limits import MAX_SIEVE_LIMIT, sieve_cap
 
-#: Hard implementation maximum for any sieve build.
-MAX_SIEVE_LIMIT = 10**8
-
-#: Default cap for tables built implicitly on demand.
-DEFAULT_SIEVE_LIMIT = 10**7
-
-#: Environment variable overriding :data:`DEFAULT_SIEVE_LIMIT`.
-SIEVE_LIMIT_ENV = "COPRIME_LAB_SIEVE_LIMIT"
+# limits owns these; callers also import them from here
+from .limits import DEFAULT_SIEVE_LIMIT, SIEVE_LIMIT_ENV, configured_limit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -103,18 +97,6 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(phi == np.arange(1, limit, dtype=np.int32)) + 2
 
 
-def configured_limit() -> int:
-    """Cap for implicitly built tables (env override, else default)."""
-    raw = os.environ.get(SIEVE_LIMIT_ENV, str(DEFAULT_SIEVE_LIMIT))
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SIEVE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
-    if val < 1 or val > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(f"{SIEVE_LIMIT_ENV} must be in [1, {MAX_SIEVE_LIMIT}], got {val}")
-    return val
-
-
 _shared: SieveTables | None = None
 #: Guards _shared and the prefix sums of every table.
 _lock = threading.Lock()
@@ -127,17 +109,12 @@ def shared_tables(min_limit: int) -> SieveTables:
     needs do not rebuild from scratch each time, and refuses a min_limit
     above the cap before any work. Thread-safe: callers that need a larger
     table at the same time build it once. Growth replaces the table, prefix
-    sums included, so the cache stays within :func:`configured_limit`: 5
+    sums included, so the cache stays within :func:`limits.configured_limit`: 5
     bytes per index (int8 mu plus int32 phi), about 50 MB at the default cap
     of 1e7, plus 4 once a count reads M and 8 more once one reads Phi.
     """
     global _shared
-    cap = configured_limit()
-    if min_limit > cap:
-        raise ResourceLimitError(
-            f"operation needs sieve tables up to {min_limit}, above the configured "
-            f"limit {cap}; raise {SIEVE_LIMIT_ENV} to allow it"
-        )
+    cap = sieve_cap(min_limit)
     with _lock:
         if _shared is None or _shared.limit < min_limit:
             grown = 2 * _shared.limit if _shared is not None else 1

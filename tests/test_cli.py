@@ -5,6 +5,7 @@ import subprocess
 import sys
 import types
 
+import coprime_lab
 import mpmath as mp
 import oracle
 import pytest
@@ -50,6 +51,16 @@ def test_exact_visible_csv():
     assert cols[1] == "5" and cols[2] == "48" and cols[3] == "80"
     assert cols[4] == "0.6"
     assert cols[7] == "" and cols[8] == "" and cols[9] == ""  # no ci/seed for exact
+
+
+def test_experiment_record_keyword_defaults_and_assignable_elapsed_ms():
+    rec = cli.ExperimentRecord(experiment="pair", n=10, params={"n": 10}, value=0.5)
+    assert [rec.numerator, rec.denominator, rec.reference, rec.abs_gap, rec.ci95, rec.seed,
+            rec.elapsed_ms] == [None] * 7
+    assert rec.tool_version == coprime_lab.__version__
+    rec.elapsed_ms = 3
+    assert json.loads(rec.json_line())["elapsed_ms"] == 3
+    assert rec.csv_row() == "pair,10,,,0.5,,,,,,3"
 
 
 def test_csv_header_is_pinned():

@@ -470,3 +470,13 @@ def test_products_on_a_cold_cache_from_two_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sums == [1]
+
+
+def test_constant_value_is_an_immutable_four_field_record():
+    cv = ConstantValue(1.5, 1e-9, "series", {"k": 2})
+    assert cv == ConstantValue(value=1.5, abs_error_bound=1e-9, method="series", params={"k": 2})
+    assert cv != ConstantValue(1.5, 2e-9, "series", {"k": 2})
+    assert (cv.value, cv.abs_error_bound, cv.method, cv.params) == (1.5, 1e-9, "series", {"k": 2})
+    assert repr(cv) == "ConstantValue(value=1.5, abs_error_bound=1e-09, method='series', params={'k': 2})"
+    with pytest.raises(AttributeError):
+        cv.value = 2.0

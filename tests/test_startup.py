@@ -1,4 +1,5 @@
-"""Process start-up: the lazy package and the CLI's BLAS thread default.
+"""Process start-up: the lazy package, the CLI's BLAS thread default, the
+modules a CLI import or refusal loads, and the thread pool's lazy import.
 
 Each check runs in a fresh interpreter, because what it tests (which modules
 are loaded, which threads numpy's OpenBLAS starts) is fixed at import.
@@ -205,3 +206,46 @@ def test_constants_primes_and_mobius_match_the_sieve():
     assert list(constants._HEAD_PRIMES) == sieve.primes_up_to(1000).tolist()
     mu = sieve.shared_tables(32).mu
     assert [constants._mobius(k) for k in range(1, 33)] == mu[1:33].tolist()
+
+
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "concurrent.futures")
+
+
+@pytest.mark.parametrize("module", ["coprime_lab.cli", "coprime_lab.constants"])
+def test_import_loads_no_dataclasses_fractions_or_pool(module):
+    loaded = run_python(
+        f"import json, sys, {module}\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("command", [
+    "exact triple3 --n 5000",
+    "exact visible --radius 20000000",
+    "mc pair --trials 600000000",
+    "mc det --dim 9",
+    "exact pair --n 1000000000000",  # a base table of 1e8, above the 1e7 sieve cap
+])
+def test_refusal_loads_no_numpy(command):
+    code, err, loaded = run_python(
+        "import contextlib, io, json, sys\n"
+        "from coprime_lab import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = cli.run({command.split()!r}, out=out)\n"
+        "assert out.getvalue() == ''\n"
+        "print(json.dumps([code, err.getvalue(), 'numpy' in sys.modules]))"
+    )
+    assert code in (2, 3) and err.startswith(("resource limit:", "invalid arguments:")), err
+    assert loaded is False
+
+
+def test_one_thread_mc_run_loads_no_pool():
+    loaded = run_python(
+        "import io, json, sys\n"
+        "from coprime_lab import cli\n"
+        "assert cli.run(['mc', 'pair', '--trials', '70000', '--threads', '1'], out=io.StringIO()) == 0\n"
+        "print(json.dumps('concurrent.futures' in sys.modules))"
+    )
+    assert loaded is False
