@@ -4,7 +4,10 @@ Trials are split into fixed batches of 2^16; batch b draws from its own
 splitmix64 stream seeded by mix(seed, b), and batch success counts are
 combined by integer summation. Results are therefore identical for any
 worker count, and re-running with the same seed reproduces successes
-exactly on any platform.
+exactly on any platform. The workers, at most min(threads, batches, CPUs),
+are the calling process and forked children (see _run_batches), not
+threads: a batch makes many short numpy calls, and threads of one process
+convoy on the GIL between them. A run at threads=1 never forks.
 
 One rule picks the lanes: RngStream.blocks(m, count, size), and
 uniform_below, its one-block form, return int32 when m < 2^31 and int64
@@ -16,7 +19,8 @@ up to 2^52, at about 12 ns a lane at 1e6 and 35 ns at 1e9 against np.gcd's
 65 and 95; larger range_max goes to np.gcd. The Gaussian gcd runs
 gcd_lanes on its three terms, in int32 when every |coordinate| <=
 2^15 - 1, as its terms are then at most 2 (2^15 - 1)^2 < 2^31, and in int64
-above. The determinant gcd runs np.gcd.
+above. The determinant gcd drops the same lanes, testing the magnitudes,
+then runs np.gcd.
 
 Determinant trials need exact integer determinants. Each stack of
 matrices goes from the draw to its determinants one block of _DET_BLOCK
@@ -42,6 +46,8 @@ import functools
 import itertools
 import math
 import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +80,6 @@ _WORD_BLOCK = 1 << 15
 
 #: (i + 1) * gamma for the i-th word of a block, wrapping.
 _RAMP = np.arange(1, _WORD_BLOCK + 1, dtype=np.uint64) * _G
-
-#: concurrent.futures' pool class, imported when the first pool starts: the
-#: import loads logging and traceback (about 8 ms), which no one-thread run needs.
-ThreadPoolExecutor = None
 
 
 def mix64(z: int) -> int:
@@ -218,24 +220,88 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 def _run_batches(trials, seed, batch_fn, threads):
     """Sum of batch_fn over the batches of trials >= 1. Each has its own
-    seed, so the sum does not depend on the workers (at most the threads,
-    batches and CPUs); the pool gets 64 batches per worker at a time, so
-    memory stays flat."""
-    global ThreadPoolExecutor
-    nb = -(-trials // BATCH_SIZE)
+    seed, so the sum does not depend on the workers.
 
-    def one(b):
-        cnt = BATCH_SIZE if b < nb - 1 else trials - BATCH_SIZE * (nb - 1)
-        return batch_fn(RngStream(batch_seed(seed, b)), cnt)
+    W = min(threads, batches, CPUs) workers run them: the caller runs the
+    batches b = 0 (mod W), and each of W - 1 forked children those b = w
+    (mod W), writes its sum to a pipe and leaves by os._exit. The batches
+    run serially when W <= 1, when os.fork is missing, or when another
+    Python thread is alive, as forking beside one is unsafe. A child's
+    exception is raised here with its type and message; if anything here
+    raises, every child is killed and reaped first.
+    """
+    nb = -(-trials // BATCH_SIZE)
+    parent = os.getpid()
+
+    def share(w, step):
+        total = 0
+        for b in range(w, nb, step):
+            if w and os.getppid() != parent:  # the caller is gone
+                os._exit(1)
+            cnt = BATCH_SIZE if b < nb - 1 else trials - BATCH_SIZE * (nb - 1)
+            total += batch_fn(RngStream(batch_seed(seed, b)), cnt)
+        return total
 
     workers = min(threads, nb, os.cpu_count() or 1)
-    if workers <= 1:
-        return sum(one(b) for b in range(nb))
-    if ThreadPoolExecutor is None:
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        step = 64 * workers
-        return sum(sum(pool.map(one, range(lo, min(lo + step, nb)))) for lo in range(0, nb, step))
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return share(0, 1)
+    children = {}  # pid -> read end of its pipe, until it is reaped
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(wr)
+                raise
+            if not pid:
+                _worker(wr, share, w, workers)
+            os.close(wr)
+            children[pid] = r
+        total = share(0, workers)
+        for pid in list(children):
+            out = b"".join(iter(functools.partial(os.read, children[pid], 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            total += _result(pid, out, status)
+        return total
+    finally:
+        for pid, r in children.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _worker(fd, share, w, step):
+    """A forked child's whole life: its share's sum, or "!" and its pickled
+    exception, written to fd, then os._exit."""
+    try:
+        try:
+            out = b"%d" % share(w, step)
+        except BaseException as exc:
+            import pickle
+
+            try:
+                out = b"!" + pickle.dumps(exc)
+            except Exception:  # an exception that does not pickle keeps its name and message
+                out = b"!" + pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        while out:
+            out = out[os.write(fd, out) :]
+    finally:
+        os._exit(0)
+
+
+def _result(pid, out, status) -> int:
+    """The sum a child wrote; the exception it wrote, raised."""
+    if out[:1] == b"!":
+        import pickle
+
+        raise pickle.loads(out[1:])
+    if not out or status:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"Monte Carlo worker {pid} exited with code {code} and no result")
+    return int(out)
 
 
 def _finish(kind, successes, trials, seed, params) -> McEstimate:
@@ -628,8 +694,14 @@ def estimate_det_coprime(
     def batch(stream, cnt):
         d1, w1 = _stream_dets(stream, cnt, dim, m, shift, primes, route)
         d2, w2 = _stream_dets(stream, cnt, dim, m, shift, primes, route)
-        # np.gcd takes |x| in unsigned arithmetic, so a det of -2^63 is safe
-        ok = np.gcd(d1, d2) == 1
+        # a pair with a common factor 2 or 3 fails at once. The tests read
+        # |det| in uint64, where |-2^63| = 2^63 (the view of a negative x is
+        # x + 2^64 = x + 1 mod 3); gcds ignore signs, math.gcd's below too
+        u1, u2 = (np.abs(d, out=d).view(np.uint64) for d in (d1, d2))
+        ix = np.flatnonzero(((u1 | u2) & 1 == 1) & ~(_divisible_by_3(u1) & _divisible_by_3(u2)))
+        ok = np.zeros(cnt, dtype=bool)
+        ok[ix] = np.gcd(u1.take(ix), u2.take(ix)) == 1
+        # a wide lane's low part is its determinant mod 2^64: math.gcd decides it
         for l in w1.keys() | w2.keys():
             ok[l] = math.gcd(w1.get(l, int(d1[l])), w2.get(l, int(d2[l]))) == 1
         return int(np.count_nonzero(ok))

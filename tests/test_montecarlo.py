@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -287,33 +290,100 @@ def test_divisible_by_3_is_exact_at_the_lane_edges(dtype):
 
 
 def test_pool_workers_bounded_by_batches_and_cpus(monkeypatch):
-    workers = []
+    # W = min(threads, batches, CPUs) workers: the caller and W - 1 forks
+    forks = []
+    fork = os.fork
 
-    class SerialPool:
-        """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    trials = 5 * BATCH_SIZE + 3  # 6 batches
+    trials = 2 * BATCH_SIZE + 3  # 3 batches
     serial = estimate_coprime_pair(10**6, trials, seed=21, threads=1).successes
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-    for cpus, expected in ((4, 4), (64, 6)):
+    assert forks == []
+    monkeypatch.setattr(montecarlo.os, "fork", counted_fork)
+    for cpus, expected in ((2, 1), (64, 2)):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         assert estimate_coprime_pair(10**6, trials, seed=21, threads=100_000).successes == serial
-        assert workers.pop() == expected
+        assert len(forks) == expected
+        forks.clear()
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     assert estimate_coprime_pair(10**6, trials, seed=21, threads=100_000).successes == serial
-    assert workers == []
+    assert forks == []
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda t: estimate_pairwise_triple(10**6, BATCH_SIZE + 99, seed=31, threads=t),
+    lambda t: estimate_gaussian_coprime(1000, BATCH_SIZE + 99, seed=32, threads=t),
+    lambda t: estimate_det_coprime(6, 1000, BATCH_SIZE + 99, seed=33, threads=t),
+    lambda t: estimate_det_coprime(4, 2**61, BATCH_SIZE + 99, seed=34, threads=t, symmetric_entries=True),
+], ids=["triple3", "gaussian", "det-dim6", "det-symmetric-dim4-2^61"])
+def test_successes_equal_at_one_and_two_workers(monkeypatch, estimate):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo.os, "fork", lambda: forks.append(1) or fork())
+    assert estimate(1).successes == estimate(2).successes
+    assert len(forks) == 1
+
+
+def test_worker_exception_surfaces_with_its_type_and_message(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def batch(stream, cnt):
+        if os.getpid() != caller:
+            raise ValueError(f"batch of {cnt} failed in a worker")
+        return cnt
+
+    with pytest.raises(ValueError, match=r"^batch of 65536 failed in a worker$"):
+        montecarlo._run_batches(2 * BATCH_SIZE + 3, 1, batch, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("the caller's batch"), KeyboardInterrupt()])
+def test_caller_failure_kills_and_reaps_every_worker(monkeypatch, exc):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def batch(stream, cnt):
+        if os.getpid() == caller:
+            raise exc
+        time.sleep(60)  # the worker is killed long before
+        return cnt
+
+    t0 = time.monotonic()
+    with pytest.raises(type(exc)):
+        montecarlo._run_batches(2 * BATCH_SIZE, 1, batch, 2)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_exits_when_its_caller_is_gone(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo.os, "getppid", lambda: 1)  # as if re-parented to init
+    with pytest.raises(RuntimeError, match="no result"):
+        montecarlo._run_batches(2 * BATCH_SIZE, 1, lambda stream, cnt: cnt, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_beside_another_python_thread(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    serial = estimate_coprime_pair(10**6, BATCH_SIZE + 17, seed=21, threads=1).successes
+    monkeypatch.setattr(montecarlo.os, "fork", lambda: pytest.fail("forked beside a live thread"))
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert estimate_coprime_pair(10**6, BATCH_SIZE + 17, seed=21, threads=2).successes == serial
+    finally:
+        stop.set()
+        other.join()
+    monkeypatch.delattr(montecarlo.os, "fork")  # a host without fork runs serially too
+    assert estimate_coprime_pair(10**6, BATCH_SIZE + 17, seed=21, threads=2).successes == serial
 
 
 def test_pool_memory_does_not_grow_with_the_batch_count(monkeypatch):
@@ -754,7 +824,8 @@ def test_det_batch_memory():
 
 
 def test_det_batch_memory_at_two_threads():
-    # two batches at once: measured 8.2 MiB (39.4 MiB with whole stacks)
+    # the caller runs one of the two batches and a forked worker the other
+    # (8.2 MiB, and 39.4 MiB with whole stacks, when two threads ran both)
     assert det_batch_peak(2) < 12 * 2**20
 
 
@@ -790,6 +861,15 @@ def test_det_thread_invariance_and_reproducibility():
     b = estimate_det_coprime(3, 100, 70_000, seed=2, threads=4)
     c = estimate_det_coprime(3, 100, 70_000, seed=2, threads=1)
     assert a.successes == b.successes == c.successes
+
+
+def test_det_dim1_symmetric_count_is_scalar_gcd_count():
+    # dim-1 determinants are the signed entries themselves: the 2-and-3 test
+    # must read |det|, as 3 divides the uint64 view of -1
+    s = RngStream(batch_seed(8, 0))
+    a, b = ((s.uniform_below(19, 5000) - 9).tolist() for _ in range(2))
+    want = sum(math.gcd(x, y) == 1 for x, y in zip(a, b))
+    assert estimate_det_coprime(1, 10, 5000, seed=8, symmetric_entries=True).successes == want
 
 
 def test_det_symmetric_entries():

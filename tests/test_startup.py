@@ -246,6 +246,9 @@ def test_one_thread_mc_run_loads_no_pool():
         "import io, json, sys\n"
         "from coprime_lab import cli\n"
         "assert cli.run(['mc', 'pair', '--trials', '70000', '--threads', '1'], out=io.StringIO()) == 0\n"
-        "print(json.dumps('concurrent.futures' in sys.modules))"
+        "one = 'concurrent.futures' in sys.modules\n"
+        "# two batches at two workers: the second runs in a forked process, with no pool\n"
+        "assert cli.run(['mc', 'pair', '--trials', '70000', '--threads', '2'], out=io.StringIO()) == 0\n"
+        "print(json.dumps([one, 'concurrent.futures' in sys.modules]))"
     )
-    assert loaded is False
+    assert loaded == [False, False]
