@@ -23,7 +23,7 @@ import numpy as np
 
 from . import constants
 from .kernels import gcd_lanes
-from .limits import SMALL_TABLE, FunctionSpec, _floor_bits, _reduced, check, iroot, table_need
+from .limits import FunctionSpec, _floor_bits, _reduced, check, iroot, table_need
 from .sieve import primes_up_to, shared_tables
 
 # limits owns these; callers also import them from here
@@ -71,14 +71,20 @@ def _result(kind, n, num, den, reference=None):
 
 _MOD = 1 << 64
 
-#: Smallest base table the public routes use, limits.SMALL_TABLE.
-_SMALL_TABLE = SMALL_TABLE
+
+def _base_table(n: int, j: int = 1):
+    """(L, tables): the shared table, fetched once per route, and the base
+    size L the route reads off it: the table's limit, at least
+    _base_size(n, j) (all of iroot(n, j) when small), at most iroot(n, j)."""
+    tables = shared_tables(table_need(n, j))
+    return min(iroot(n, j), tables.limit), tables
 
 
-def _table_size(n: int, j: int = 1) -> int:
-    """Base table size the public routes use: the shared table's limit, at
-    least _base_size(n, j) (all of iroot(n, j) when small), at most iroot(n, j)."""
-    return min(iroot(n, j), shared_tables(table_need(n, j, _SMALL_TABLE)).limit)
+def _lift(residue: int, center: int) -> int:
+    """The integer congruent to residue mod 2^64 nearest center: the exact
+    value whenever that lies within 2^63 of center."""
+    half = _MOD >> 1
+    return center + (residue - center + half) % _MOD - half
 
 
 def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.ndarray:
@@ -87,16 +93,17 @@ def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.nd
 
     F satisfies F(m) = G(m) - sum of F(m // d) over d = 2..m, and prefix is
     a table of F(m) for m = 0..L at least, with L >= isqrt(x_1), as uint64
-    residues or exact int32 values (Deleglise & Rivat, Experimental
+    residues or exact int16 values (Deleglise & Rivat, Experimental
     Mathematics 5, 1996). As x_k // d = x_(k*d^j) (Pawlewicz, "Counting
     square-free numbers", 2011), the points are filled from k = K up: with
     s = isqrt(m), each d <= s reads m // d from big[k*d^j] while k*d^j <= K
     and from prefix otherwise; the d > s share q = m // d <= m // (s + 1) in
     runs of m // q - m // (q + 1). uint64 wraps mod 2^64 and the recurrence
-    is integer-linear, so the residues are exact at any n. An int32 prefix
-    sums exactly in int64 (at most sqrt(n) values of size at most L < 2^31),
-    and its head up to isqrt(x_1) + 1 is cast to uint64 residues once for
-    the dots (a uint64-int32 dot would run in float64).
+    is integer-linear, so the residues are exact at any n. An int16 prefix
+    sums exactly in int64 (numpy sums it in int64, and at most sqrt(n)
+    values below 2^15 are added), and its head up to isqrt(x_1) + 1 is cast
+    to wrapping uint64 residues once for the dots (a uint64-int16 dot would
+    run in float64).
     """
     K = n // (L + 1) ** j
     big = np.zeros(K + 1, dtype=np.uint64)
@@ -121,30 +128,30 @@ def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.nd
     return big
 
 
-def _totient_at(n: int, L: int) -> int:
-    """Phi(n) from a base table of size L (L = n reads the prefix directly).
+def _totient_at(n: int, L: int, tables) -> int:
+    """Phi(n) from the first L entries of tables (L = n reads the prefix
+    directly).
 
     Phi(m) = m(m+1)/2 - sum of Phi(m // d) over d >= 2. Its residue mod 2^64
     is lifted to the integer nearest 3n^2/pi^2, which is exact because
     |Phi(n) - 3n^2/pi^2| <= 2n(ln n + 2) lies far inside 2^63 for every n a
     base table under the sieve cap can reach.
     """
-    prefix = shared_tables(L).phi_sum.view(np.uint64)
+    prefix = tables.phi_sum.view(np.uint64)
     if n <= L:
         return int(prefix[n])
     big = _quotient_values(n, L, prefix, lambda m: m * (m + 1) // 2)
-    center, half = int(3 * n * n / pi**2), _MOD >> 1
-    return center + (int(big[1]) - center + half) % _MOD - half
+    return _lift(int(big[1]), int(3 * n * n / pi**2))
 
 
-def _mertens_at_quotients(n: int, L: int, j: int = 1):
+def _mertens_at_quotients(n: int, L: int, tables, j: int = 1):
     """mertens with mertens(i) = M(iroot(n // i, j)) for int64 arrays i >= 1,
-    from a base table of size L; for j > 1, M(L) past n // (L + 1)^j.
+    from the first L entries of tables; for j > 1, M(L) past n // (L + 1)^j.
 
     M is the Mertens function, M(m) = 1 - sum of M(m // d) over d >= 2;
     |M(m)| <= m < 2^63, so its uint64 residues read as int64 are exact.
     """
-    prefix = shared_tables(L).mu_sum
+    prefix = tables.mu_sum
     big = _quotient_values(n, L, prefix, lambda m: 1, j).view(np.int64)
     K = len(big) - 1
 
@@ -182,14 +189,30 @@ def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
 
     The sum counts k-tuples, odd pairs or j-free m in [1, n]^k, so it lies in
     [0, n^k]; when n^k < 2^64 it equals its residue mod 2^64, the sum of the
-    terms' wrapping uint64 dots. Otherwise the dots run over Python ints.
+    terms' wrapping uint64 dots. Pairs and odd pairs (k = 2) take uint64
+    dots at every n, and their residue is lifted (as in _totient_at) to the
+    integer nearest c = 6n^2/pi^2, or 2n^2/pi^2 for odd pairs. That is exact:
+
+    - With q = n // d = n/d - f, f in [0, 1), q^2 is within 2n/d + 1 of
+      n^2/d^2; over odd d, (q + 1) // 2 = n/(2d) + t with |t| <= 1/2, so its
+      square is within n/(2d) + 1/4 of n^2/(4d^2).
+    - sum of mu(d)/d^2 over all d is 6/pi^2 and over odd d 8/pi^2; the terms
+      past n weigh at most n^2 times the sum of 1/d^2 over d > n, which is
+      below 1/n, and the sum of 1/d over d <= n is at most ln n + 1.
+    - So pairs lie within 2n(ln n + 2) of c and odd pairs within
+      (n/2)(ln n + 2): below 6e13 for every n whose base table (about
+      n^(2/3)) fits under MAX_SIEVE_LIMIT, that is n <= 1e12. The float c
+      is off by under 2^-50 c < 2^30 (c < 2^80), so the total is far
+      inside 2^63.
+
+    k >= 3 with n^k >= 2^64 dots over Python ints.
     """
-    L = _table_size(n, j)
+    L, tables = _base_table(n, j)
     D = isqrt(n) if j == 1 else L
     i = np.arange(1, n // (D + 1) ** j + 2, dtype=np.int64)
-    mertens = _mertens_at_quotients(n, L, j)
+    mertens = _mertens_at_quotients(n, L, tables, j)
     W = _odd_mertens(mertens, n, i) if odd else mertens(i)
-    lanes = np.uint64 if n**k < _MOD else object
+    lanes = np.uint64 if k == 2 or n**k < _MOD else object
 
     def dot(a: np.ndarray, q: np.ndarray) -> int:
         q = (q + 1) // 2 if odd else q
@@ -197,12 +220,14 @@ def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
 
     keep = np.flatnonzero(W[:-1] - W[1:])
     total = dot(W[keep] - W[keep + 1], keep + 1)
-    mu = shared_tables(D).mu
+    mu = tables.mu
     for lo in range(1, D + 1, _FLOOR_BLOCK):
         d = np.flatnonzero(mu[lo : min(lo + _FLOOR_BLOCK, D + 1)]) + lo
         d = d[d % 2 == 1] if odd else d
         # d^j <= n, so below 2^64 the quotients are exact in uint64 lanes
         total += dot(mu[d], n // _power(d.astype(np.uint64 if n < _MOD else object), j))
+    if k == 2:
+        return _lift(total, int((2 if odd else 6) * n * n / pi**2))
     return total % _MOD if lanes is np.uint64 else total
 
 
@@ -215,7 +240,7 @@ def totient_sum(n: int) -> int:
     check("totient_sum", n=n)
     if n == 0:
         return 0
-    return _totient_at(n, _table_size(n))
+    return _totient_at(n, *_base_table(n))
 
 
 def coprime_ordered_count_mobius(n: int) -> int:

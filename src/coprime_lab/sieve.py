@@ -1,16 +1,17 @@
 """Multiplicative-function tables mu and phi, their prefix sums, and primes.
 
 Everything downstream that counts exactly, and every prime the package
-reads, comes from one immutable :class:`SieveTables` held by
-:func:`shared_tables`; the summatory recurrences start from that table's
-own prefix sums, each summed on its first read. Vectorised numpy passes
-over the primes up to sqrt(N) build it in a few seconds for N = 1e7..1e8.
+reads, comes from one :class:`SieveTables` held by :func:`shared_tables`;
+the summatory recurrences start from that table's own prefix sums, each
+summed on its first read. The table keeps only what counts read: Phi
+replaces phi when it is summed, and phi is derived from Phi from then on.
+Vectorised numpy passes over the primes up to sqrt(N) build it in a few
+seconds for N = 1e7..1e8.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -22,37 +23,74 @@ from .limits import MAX_SIEVE_LIMIT, sieve_cap
 from .limits import DEFAULT_SIEVE_LIMIT, SIEVE_LIMIT_ENV, configured_limit  # noqa: F401
 
 
-@dataclass(frozen=True)
 class SieveTables:
     """Arrays indexed 1..limit (index 0 is unused and zeroed).
 
-    mu[n] in {-1, 0, +1}, phi[n] = Euler totient. Their prefix sums mu_sum
-    and phi_sum are summed once per table, on first read. Arrays are marked
-    read-only; a built table may be shared across threads.
+    mu[n] in {-1, 0, +1} (int8), phi[n] = Euler totient (int32). Their
+    prefix sums mu_sum and phi_sum are summed once per table, on first
+    read. Summing Phi releases the int32 phi array: phi then reads
+    Phi(m) - Phi(m - 1), the same values, as a new array. Every array
+    handed out is read-only; a built table may be shared across threads.
     """
 
-    limit: int
-    mu: np.ndarray
-    phi: np.ndarray
-    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("limit", "mu", "_phi", "_mu_sum", "_phi_sum")
+
+    def __init__(self, limit: int, mu: np.ndarray, phi: np.ndarray):
+        self.limit, self.mu, self._phi = limit, mu, phi
+        self._mu_sum = self._phi_sum = None
+
+    @property
+    def phi(self) -> np.ndarray:
+        """phi(m) for m = 0..limit, int32."""
+        return self._phi_between(0, self.limit + 1)
 
     @property
     def mu_sum(self) -> np.ndarray:
-        """M(m) = mu(1) + ... + mu(m) for m = 0..limit, int32 as |M(m)| <= m < 2^31."""
-        return self._summed("mu", np.int32)
+        """M(m) = mu(1) + ... + mu(m) for m = 0..limit, int16.
+
+        Each step moves M by at most 1, so an int16 sum that wrapped would
+        pass through 2^15 - 1 or -2^15; a result strictly between them has
+        not wrapped (|M(m)| <= 1143 up to 1e7), and any other raises
+        AssertionError.
+        """
+        with _lock:
+            if self._mu_sum is None:
+                total = _cumsum(self.mu, np.int16)
+                if not (total.max() < 2**15 - 1 and total.min() > -(2**15)):
+                    raise AssertionError(f"Mertens prefix up to {self.limit} leaves int16")
+                self._mu_sum = total
+            return self._mu_sum
 
     @property
     def phi_sum(self) -> np.ndarray:
-        """Phi(m) = phi(1) + ... + phi(m), int64 as Phi(m) <= m(m + 1)/2 < 2^63."""
-        return self._summed("phi", np.int64)
+        """Phi(m) = phi(1) + ... + phi(m), int64 as Phi(m) <= m(m + 1)/2 < 2^63.
 
-    def _summed(self, name: str, dtype) -> np.ndarray:
+        Its first read releases the int32 phi array it was summed from."""
         with _lock:
-            if name not in self._sums:
-                total = getattr(self, name).astype(dtype)  # in place: no cast temporary
-                self._sums[name] = np.cumsum(total, out=total)
-                total.flags.writeable = False
-            return self._sums[name]
+            if self._phi_sum is None:
+                self._phi_sum, self._phi = _cumsum(self._phi, np.int64), None
+            return self._phi_sum
+
+    def _phi_between(self, lo: int, hi: int) -> np.ndarray:
+        """phi(m) for lo <= m < hi, read-only int32: a view of phi while it
+        is kept, else Phi(m) - Phi(m - 1) over that range only."""
+        with _lock:
+            phi, total = self._phi, self._phi_sum
+        if phi is not None:
+            return phi[lo:hi]
+        out = np.zeros(max(hi - lo, 0), dtype=np.int32)  # phi(0) = 0
+        first = max(lo, 1)
+        np.subtract(total[first:hi], total[first - 1 : hi - 1], out=out[first - lo :], casting="unsafe")
+        out.flags.writeable = False
+        return out
+
+
+def _cumsum(values: np.ndarray, dtype) -> np.ndarray:
+    """Read-only prefix sums of values, summed in place in dtype."""
+    total = values.astype(dtype)  # in place: no cast temporary
+    np.cumsum(total, dtype=dtype, out=total)
+    total.flags.writeable = False
+    return total
 
 
 def build_sieve(limit: int) -> SieveTables:
@@ -93,7 +131,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     m >= 2 is prime exactly when phi(m) = m - 1."""
     if limit < 0:
         raise ResourceLimitError(f"prime enumeration limit must be >= 0, got {limit}")
-    phi = shared_tables(limit).phi[2 : limit + 1]
+    phi = shared_tables(limit)._phi_between(2, limit + 1)
     return np.flatnonzero(phi == np.arange(1, limit, dtype=np.int32)) + 2
 
 
@@ -109,9 +147,10 @@ def shared_tables(min_limit: int) -> SieveTables:
     needs do not rebuild from scratch each time, and refuses a min_limit
     above the cap before any work. Thread-safe: callers that need a larger
     table at the same time build it once. Growth replaces the table, prefix
-    sums included, so the cache stays within :func:`limits.configured_limit`: 5
-    bytes per index (int8 mu plus int32 phi), about 50 MB at the default cap
-    of 1e7, plus 4 once a count reads M and 8 more once one reads Phi.
+    sums included, so the cache stays within :func:`limits.configured_limit`:
+    5 bytes per index (int8 mu plus int32 phi), about 50 MB at the default
+    cap of 1e7, 13 while a count sums Phi (int64) from phi, 9 once Phi has
+    replaced phi, and 2 more once a count reads M (int16).
     """
     global _shared
     cap = sieve_cap(min_limit)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coprime_lab import constants, exact, sieve
+from coprime_lab import constants, exact, limits, sieve
 from coprime_lab.errors import ResourceLimitError
 from coprime_lab.exact import (
     TRIPLE_BRUTE_BOUND,
@@ -68,7 +68,8 @@ def test_totient_sum_brute():
 def test_totient_sum_routes_agree():
     # a full table against the recurrence from a base of about n^(2/3)
     for n in (10**4, 123_456, 10**6):
-        assert exact._totient_at(n, n) == exact._totient_at(n, exact._base_size(n)), n
+        t = sieve.shared_tables(n)
+        assert exact._totient_at(n, n, t) == exact._totient_at(n, exact._base_size(n), t), n
 
 
 def test_totient_sum_errors():
@@ -91,7 +92,7 @@ M_ODD_3000 = np.cumsum(np.where(np.arange(3001) % 2 == 1, TABLES_3000.mu, 0), dt
 
 
 def mertens(n):
-    mert = exact._mertens_at_quotients(n, exact._table_size(n))
+    mert = exact._mertens_at_quotients(n, *exact._base_table(n))
     return int(mert(np.array([1]))[0])
 
 
@@ -103,8 +104,8 @@ def test_quotient_recurrence_matches_brute_force(data, n):
                                  lambda m: m * (m + 1) // 2)
     ks = np.arange(1, n // (base + 1) + 1)
     assert big[1:].tolist() == PHI_3000[n // ks].tolist()
-    assert exact._totient_at(n, base) == PHI_3000[n]
-    mert = exact._mertens_at_quotients(n, base)
+    assert exact._totient_at(n, base, TABLES_3000) == PHI_3000[n]
+    mert = exact._mertens_at_quotients(n, base, TABLES_3000)
     i = np.arange(1, n + 2)  # every quotient point of n, and 0 at i = n + 1
     assert mert(i).tolist() == M_3000[n // i].tolist()
     assert exact._odd_mertens(mert, n, i).tolist() == M_ODD_3000[n // i].tolist()
@@ -119,11 +120,11 @@ def test_root_quotient_recurrence_matches_brute_force(data, j):
     x1 = iroot(n, j)
     base = data.draw(st.integers(math.isqrt(x1), x1), label="base size")
     K = n // (base + 1) ** j
-    mert = exact._mertens_at_quotients(n, base, j)
+    mert = exact._mertens_at_quotients(n, base, TABLES_3000, j)
     expect = [M_3000[iroot(n // k, j)] for k in range(1, K + 1)] + [M_3000[base]]
     assert mert(np.arange(1, K + 2)).tolist() == expect
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_table_size", lambda n, j: base)
+        mp.setattr(exact, "_base_table", lambda n, j: (base, TABLES_3000))
         assert exact._mobius_sum(n, 1, j=j) == kfree_per_d(n, j)
 
 
@@ -184,7 +185,7 @@ def mobius_sum_per_term(n, g, odd=False):
     """sum of a * g(q) over the terms of _mobius_sum, one Python int at a
     time: the reference for its uint64 and Python-int dots."""
     s = math.isqrt(n)
-    mert = exact._mertens_at_quotients(n, exact._table_size(n))
+    mert = exact._mertens_at_quotients(n, *exact._base_table(n))
     w = sieve.shared_tables(s).mu[1 : s + 1].astype(np.int64)
     i = np.arange(1, n // (s + 1) + 2, dtype=np.int64)
     if odd:
@@ -217,7 +218,8 @@ def mobius_sum_per_term(n, g, odd=False):
 )
 def test_mobius_sum_matches_per_term_sum(n, e, odd, below):
     # the sum is a count in [0, n^e]: one wrapping uint64 dot while
-    # n^e < 2^64 and a Python-int dot from there on
+    # n^e < 2^64; from there on a Python-int dot for e >= 3, while pairs and
+    # odd pairs keep the uint64 dot and lift it through their main term
     assert (n**e < 2**64) == below
     expect = mobius_sum_per_term(n, lambda q: ((q + 1) // 2 if odd else q) ** e, odd)
     assert exact._mobius_sum(n, e, odd) == expect
@@ -411,7 +413,7 @@ def test_answers_do_not_depend_on_the_route(data, n):
     with pytest.MonkeyPatch.context() as mp:
         # every n runs the recurrence from a base of about n^(2/3) or the
         # longest prefix the warm-up left, as large n do
-        mp.setattr(exact, "_SMALL_TABLE", 1)
+        mp.setattr(exact, "table_need", lambda n, j: limits.table_need(n, j, small=1))
         mp.setattr(sieve, "_shared", None)
         for m in warm_up:
             totient_sum(m)
@@ -551,7 +553,8 @@ def assert_kfree_warm_and_cold(n, j):
     n^(1/j) leaves nothing to the recurrence) and from a cold base."""
     assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_table_size", lambda n, j: exact._base_size(n, j))
+        mp.setattr(exact, "_base_table", lambda n, j: (exact._base_size(n, j),
+                                                       sieve.shared_tables(exact._base_size(n, j))))
         assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j, "cold")
 
 
@@ -584,10 +587,21 @@ def test_squarefree_oeis_powers_of_ten():
         assert squarefree_count(10**k).numerator == count, k
 
 
+def run_fresh(code, *args):
+    """The JSON that code prints, run in a fresh interpreter with args under
+    the default sieve cap."""
+    env = {k: v for k, v in os.environ.items() if k != sieve.SIEVE_LIMIT_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def fresh_squarefree(ns):
     """Squarefree counts at ns, in order, and the peak RSS in MB, from a fresh
-    interpreter under the default sieve cap. The peak is VmHWM, which starts
-    afresh at exec (ru_maxrss keeps the parent's peak across it)."""
+    interpreter. The peak is VmHWM, which starts afresh at exec (ru_maxrss
+    keeps the parent's peak across it)."""
     code = (
         "import json, re, sys\n"
         "from coprime_lab import exact\n"
@@ -595,12 +609,7 @@ def fresh_squarefree(ns):
         "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
         "print(json.dumps([counts, int(peak.group(1)) / 1024]))"
     )
-    env = {k: v for k, v in os.environ.items() if k != sieve.SIEVE_LIMIT_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, ns)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return run_fresh(code, *ns)
 
 
 def test_squarefree_oeis_in_a_cold_process():
@@ -613,6 +622,26 @@ def test_squarefree_oeis_in_a_cold_process():
     assert rss_mb < 130
     counts, _ = fresh_squarefree([10**k for k in range(12, 17)])
     assert counts == SQUAREFREE_POW10[:5]
+
+
+def test_pair_count_holds_at_most_13_bytes_per_table_index():
+    # n = 1e9 reads a 10^6-entry table: int8 mu, int32 phi and int64 Phi
+    # while Phi is summed, 13 bytes an index; Phi then replaces phi and M is
+    # int16, 11 bytes. The 2 MB cover the recurrences' own arrays.
+    code = (
+        "import json, tracemalloc\n"
+        "from coprime_lab import exact, sieve\n"
+        "tracemalloc.start()\n"
+        "num = exact.coprime_pair_count(10**9).numerator\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "t = sieve._shared\n"
+        "print(json.dumps([num, peak, t.limit, t._phi is None,"
+        " str(t.phi_sum.dtype), str(t.mu_sum.dtype)]))"
+    )
+    num, peak, limit, phi_released, phi_sum, mu_sum = run_fresh(code)
+    assert num == PHI_POW10[8] - 1 and limit == 10**6
+    assert peak < 13 * (limit + 1) + 2 * 2**20, peak
+    assert (phi_released, phi_sum, mu_sum) == (True, "int64", "int16")
 
 
 def test_kfree_sieve_oracle_1e6():

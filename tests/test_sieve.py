@@ -286,8 +286,46 @@ def test_prefix_sums_summed_once_by_two_threads(monkeypatch):
 
     monkeypatch.setattr(np, "cumsum", slow_cumsum)
     results = run_in_two_threads(lambda i: (tables.mu_sum, tables.phi_sum))
-    assert sums == [np.int32, np.int64]
+    assert sums == [np.int16, np.int64]
     assert results[0][0] is results[1][0] and results[0][1] is results[1][1]
     monkeypatch.undo()
     assert np.array_equal(tables.mu_sum, np.cumsum(tables.mu, dtype=np.int64))
     assert np.array_equal(tables.phi_sum, np.cumsum(tables.phi, dtype=np.int64))
+
+
+def test_phi_and_primes_read_alike_once_phi_sum_replaces_phi(monkeypatch):
+    monkeypatch.setattr(sieve, "_shared", None)
+    t = sieve.shared_tables(5000)
+    limits = (0, 1, 2, 3, 97, 4999, 5000)
+
+    def reads():
+        phi = t.phi
+        with pytest.raises(ValueError):
+            phi[1] = 0
+        return phi, [primes_up_to(m) for m in limits]
+
+    phi, primes = reads()
+    kept = phi.copy()
+    assert np.array_equal(t.phi_sum, np.cumsum(kept, dtype=np.int64))
+    assert t._phi is None  # Phi replaced the int32 array
+    derived, derived_primes = reads()
+    assert derived.dtype == np.int32 and np.array_equal(derived, kept)
+    for m, before, after in zip(limits, primes, derived_primes):
+        assert np.array_equal(before, after), m
+    assert derived_primes[-1].tolist() == [p for p in range(2, 5001) if simple_prime_sieve(5000)[p]]
+
+
+def test_mertens_prefix_guards_its_int16_range():
+    # mu = +1 (or -1) everywhere walks M by one a step: M reaches 2^15 - 2 and
+    # -(2^15 - 1) within range, while 2^15 - 1 and -2^15 are where a wrapped
+    # int16 sum would have to pass
+    def walk(limit, step):
+        mu = np.full(limit + 1, step, dtype=np.int8)
+        mu[0] = 0
+        return SieveTables(limit, mu, np.zeros(limit + 1, dtype=np.int32))
+
+    assert walk(2**15 - 2, 1).mu_sum[-1] == 2**15 - 2
+    assert walk(2**15 - 1, -1).mu_sum[-1] == -(2**15 - 1)
+    for limit, step in ((2**15 - 1, 1), (2**15, -1), (2**16 + 5, 1)):
+        with pytest.raises(AssertionError, match="int16"):
+            walk(limit, step).mu_sum
