@@ -55,9 +55,6 @@ montecarlo = _Layer("montecarlo")
 
 CSV_HEADER = "experiment,n,numerator,denominator,value,reference,abs_gap,ci_low,ci_high,seed,elapsed_ms"
 
-#: Tolerance of a constant when --eps is not given.
-DEFAULT_EPS = 1e-9
-
 #: Trials used when a convergence table falls back to Monte Carlo.
 CONVERGENCE_MC_TRIALS = 1_000_000
 
@@ -133,15 +130,11 @@ def _from_constant(tag: str, n, cv: "constants.ConstantValue", params: dict) -> 
 
 
 def _from_mc(est: "montecarlo.McEstimate", n) -> ExperimentRecord:
-    kind = est.kind
-    p = est.params
-    ref = constants.reference_constant(
-        kind, dim=p.get("dim") if kind == "det" else None
-    ).value
+    ref = constants.reference_constant(est.kind, dim=est.params.get("dim")).value  # only det has a dim
     return ExperimentRecord(
-        experiment=kind,
+        experiment=est.kind,
         n=n,
-        params=dict(p, trials=est.trials, successes=est.successes),
+        params=dict(est.params, trials=est.trials, successes=est.successes),
         value=est.estimate,
         reference=ref,
         abs_gap=abs(est.estimate - ref),
@@ -161,8 +154,7 @@ def _from_mc(est: "montecarlo.McEstimate", n) -> ExperimentRecord:
 Exact = namedtuple("Exact", "flags function")
 
 #: A constant: call(args, eps) -> constants.ConstantValue; the flag recorded
-#: as n and first in params, if any; and whether it reads --eps (default
-#: DEFAULT_EPS).
+#: as n and first in params, if any; and whether it reads --eps.
 Const = namedtuple("Const", "call n eps", defaults=(None, True))
 
 #: A Monte Carlo experiment: the flag recorded as n, the montecarlo function,
@@ -210,17 +202,42 @@ MC = {
 #: sizes fall back to Monte Carlo) last.
 CONVERGENCE = tuple(sorted((op for op, e in EXACT.items() if len(e.flags) == 1), key=lambda op: op == "triple3"))
 
-#: exact's integer flags; like --alpha and --c they default to None, so a given one shows.
+#: exact's integer flags.
 EXACT_INTS = tuple(dict.fromkeys(f for e in EXACT.values() for f in e.flags if f != "f"))
+
+#: Each subcommand's experiment flags and the value an omitted one takes
+#: (the parser leaves an omitted flag out of the namespace).
+FLAGS = {
+    "exact": {**dict.fromkeys(EXACT_INTS), "f": "alpha_n", "alpha": "sqrt2", "c": None},
+    "const": {"k": 2, "dim": None, "eps": 1e-9},
+    "mc": {"max": 10**9, "box": 1000, "dim": 2, "entry_max": 1000, "symmetric_entries": False},
+}
+
+
+def _flags(command: str, args) -> argparse.Namespace:
+    """args with each omitted flag of the command at its default, after
+    refusing a given flag that the experiment's row does not read."""
+    full = argparse.Namespace(**{**FLAGS[command], **vars(args)})
+    if command == "exact":
+        reads = EXACT[args.operation].flags
+        if "f" in reads:  # and the one of --alpha and --c that --f reads
+            reads += ("alpha" if full.f == "alpha_n" else "c",)
+    elif command == "const":
+        reads = (CONST[args.operation].n, "eps" if CONST[args.operation].eps else None)
+    else:
+        reads = MC[args.operation].sizes
+    unread = [f for f in FLAGS[command] if f in vars(args) and f not in reads]
+    if unread:
+        raise ValueError(f"{args.operation} does not read --{unread[0].replace('_', '-')}")
+    return full
 
 
 def _function_spec(args) -> "limits.FunctionSpec":
     """The growth function of --f; its constructors parse --alpha and --c as fractions."""
     if args.f == "alpha_n":
-        alpha = args.alpha if args.alpha is not None else "sqrt2"
-        if alpha == "sqrt2":
+        if args.alpha == "sqrt2":
             return limits.FunctionSpec.sqrt2_times_n()
-        return limits.FunctionSpec.alpha_times_n(alpha)
+        return limits.FunctionSpec.alpha_times_n(args.alpha)
     if args.c is None:
         raise ValueError("--f pow_c needs --c")
     return limits.FunctionSpec.n_pow_c(args.c)
@@ -228,20 +245,16 @@ def _function_spec(args) -> "limits.FunctionSpec":
 
 def _exact_args(args) -> dict:
     """The exact function's keyword arguments: its flags, --f as the spec."""
-    return {"spec" if f == "f" else f: _function_spec(args) if f == "f" else getattr(args, f)
-            for f in EXACT[args.operation].flags}
+    args = _flags("exact", args)
+    flags = EXACT[args.operation].flags
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for this operation")
+    return {"spec" if f == "f" else f: _function_spec(args) if f == "f" else getattr(args, f) for f in flags}
 
 
 def _check_exact(args) -> None:
-    entry = EXACT[args.operation]
-    for flag in entry.flags:
-        if getattr(args, flag) is None:
-            raise ValueError(f"--{flag} is required for this operation")
-    read = entry.flags + (("alpha", "c") if "f" in entry.flags else ())
-    unread = [f for f in EXACT_INTS + ("alpha", "c") if f not in read and getattr(args, f, None) is not None]
-    if unread:
-        raise ValueError(f"{args.operation} does not read --{unread[0]}")
-    limits.check(entry.function, **_exact_args(args))
+    limits.check(EXACT[args.operation].function, **_exact_args(args))
 
 
 def _run_exact(args) -> list[ExperimentRecord]:
@@ -251,25 +264,21 @@ def _run_exact(args) -> list[ExperimentRecord]:
     return [_from_density(getattr(exact, EXACT[args.operation].function)(**kwargs), params)]
 
 
-def _check_const(args) -> None:
-    if not CONST[args.operation].eps and args.eps is not None:
-        raise ValueError(f"{args.operation} does not read --eps")
-
-
 def _run_const(args) -> list[ExperimentRecord]:
+    args = _flags("const", args)
     entry = CONST[args.operation]
     n = None if entry.n is None else getattr(args, entry.n)
     params = {} if entry.n is None else {entry.n: "inf" if n is None else n}  # --dim inf parses to None
     if entry.eps:
-        params["eps"] = DEFAULT_EPS if args.eps is None else args.eps
+        params["eps"] = args.eps
     cv = entry.call(args, params.get("eps"))
     return [_from_constant("const_" + args.operation.replace("-", "_"), n, cv, params)]
 
 
 def _mc_args(args) -> dict:
     """The montecarlo function's keyword arguments."""
-    entry = MC[args.operation]
-    sizes = {param: getattr(args, flag) for flag, param in entry.sizes.items()}
+    args = _flags("mc", args)
+    sizes = {param: getattr(args, flag) for flag, param in MC[args.operation].sizes.items()}
     return dict(sizes, trials=args.trials, seed=args.seed, threads=args.threads)
 
 
@@ -278,8 +287,8 @@ def _check_mc(args) -> None:
 
 
 def _run_mc(args) -> list[ExperimentRecord]:
-    entry = MC[args.operation]
-    return [_from_mc(getattr(montecarlo, entry.function)(**_mc_args(args)), getattr(args, entry.n))]
+    entry, kwargs = MC[args.operation], _mc_args(args)
+    return [_from_mc(getattr(montecarlo, entry.function)(**kwargs), kwargs[entry.sizes[entry.n]])]
 
 
 def _run_report(args) -> list[ExperimentRecord]:
@@ -384,29 +393,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coprime-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exact = sub.add_parser("exact", help="exact sieve-based counts", parents=[common])
+    experiment = {"parents": [common], "argument_default": argparse.SUPPRESS}
+    p_exact = sub.add_parser("exact", help="exact sieve-based counts", **experiment)
     p_exact.set_defaults(check=_check_exact, run=_run_exact, layers=(exact,))
     p_exact.add_argument("operation", choices=EXACT)
     for flag in EXACT_INTS:
         p_exact.add_argument(f"--{flag}", type=int)
-    p_exact.add_argument("--f", choices=("alpha_n", "pow_c"), default="alpha_n")
-    p_exact.add_argument("--alpha", default=None, help="sqrt2 or a decimal")
-    p_exact.add_argument("--c", default=None, help="non-integer decimal exponent")
+    p_exact.add_argument("--f", choices=("alpha_n", "pow_c"))
+    p_exact.add_argument("--alpha", help="sqrt2 or a decimal")
+    p_exact.add_argument("--c", help="non-integer decimal exponent")
 
-    p_const = sub.add_parser("const", help="analytic constants with error bounds", parents=[common])
-    p_const.set_defaults(check=_check_const, run=_run_const, layers=(constants,))
+    p_const = sub.add_parser("const", help="analytic constants with error bounds", **experiment)
+    p_const.set_defaults(check=lambda a: _flags("const", a), run=_run_const, layers=(constants,))
     p_const.add_argument("operation", choices=CONST)
-    p_const.add_argument("--k", type=int, default=2)
-    p_const.add_argument("--dim", type=dimension, default=None, help="matrix dimension or 'inf'")
-    p_const.add_argument("--eps", type=positive_finite_float, default=None, help="tolerance (default 1e-9)")
+    p_const.add_argument("--k", type=int)
+    p_const.add_argument("--dim", type=dimension, help="matrix dimension or 'inf'")
+    p_const.add_argument("--eps", type=positive_finite_float, help="tolerance (default 1e-9)")
 
-    p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimates", parents=[common])
+    p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimates", **experiment)
     p_mc.set_defaults(check=_check_mc, run=_run_mc, layers=(montecarlo, constants))
     p_mc.add_argument("operation", choices=MC)
-    p_mc.add_argument("--max", type=int, default=10**9)
-    p_mc.add_argument("--box", type=int, default=1000)
-    p_mc.add_argument("--dim", type=int, default=2)
-    p_mc.add_argument("--entry-max", type=int, default=1000)
+    p_mc.add_argument("--max", type=int)
+    p_mc.add_argument("--box", type=int)
+    p_mc.add_argument("--dim", type=int)
+    p_mc.add_argument("--entry-max", type=int)
     p_mc.add_argument("--trials", type=int, default=10**6)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--symmetric-entries", action="store_true")

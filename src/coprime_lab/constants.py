@@ -9,11 +9,9 @@ multiply the primes up to 1000 factor by factor and take the rest through
 the prime zeta function, with analytic tail bounds; every sum of floats is
 a ``math.fsum``, which rounds once. The module loads neither numpy nor the
 sieve: its primes and Möbius values come from a few lines below. Nor does
-it load dataclasses or fractions at import: a const run pays only for the
-constant it prints, and the two series builders that use Fraction import it.
+it load fractions at import: a const run pays only for the constant it
+prints, and the two series builders that use Fraction import it.
 """
-
-from __future__ import annotations
 
 import math
 import threading

@@ -14,23 +14,15 @@ the argument ranges, caps and the sieve-table need, so a refusal comes
 before any table or lane exists.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt, pi
 
 import numpy as np
 
 from . import constants
 from .kernels import gcd_lanes
-from .limits import FunctionSpec, _floor_bits, _reduced, check, iroot, table_need
+from .limits import _WRAP, FunctionSpec, _floor_bits, _reduced, check, iroot, table_need
 from .sieve import primes_up_to, shared_tables
-
-# limits owns these; callers also import them from here
-from .limits import (  # noqa: F401
-    FGCD_MAX, FGCD_SLOW_BUDGET_US, PRIME_DENSITY_MAX, TRIPLE_BRUTE_BOUND, VISIBLE_MAX,
-    _base_size, _floor_f_us, _unproven_lanes,
-)
 
 #: Rows of the coprimality matrix per block of the triple count: about 47 MB
 #: peak and 0.38 s at n = 2000 on one thread (2 vCPUs).
@@ -40,21 +32,17 @@ _TRIPLE_ROWS = 128
 #: part, visible, fgcd), which bounds their working memory at any size.
 _FLOOR_BLOCK = 1 << 13
 
-@dataclass(frozen=True)
-class DensityResult:
+
+class DensityResult(namedtuple("DensityResult", "kind n numerator denominator value reference abs_gap",
+                               defaults=(None, None))):
     """An exact count numerator/denominator plus its float value.
 
     ``reference`` is the limiting constant for the experiment (when one
-    exists) and ``abs_gap`` the distance of ``value`` from it.
+    exists) and ``abs_gap`` the distance of ``value`` from it; both are
+    None otherwise.
     """
 
-    kind: str
-    n: int
-    numerator: int
-    denominator: int
-    value: float
-    reference: float | None = None
-    abs_gap: float | None = None
+    __slots__ = ()
 
 
 def _result(kind, n, num, den, reference=None):
@@ -69,9 +57,6 @@ def _result(kind, n, num, den, reference=None):
 # Summatory functions at the quotient points floor(n/k)
 # ---------------------------------------------------------------------------
 
-_MOD = 1 << 64
-
-
 def _base_table(n: int, j: int = 1):
     """(L, tables): the shared table, fetched once per route, and the base
     size L the route reads off it: the table's limit, at least
@@ -83,8 +68,8 @@ def _base_table(n: int, j: int = 1):
 def _lift(residue: int, center: int) -> int:
     """The integer congruent to residue mod 2^64 nearest center: the exact
     value whenever that lies within 2^63 of center."""
-    half = _MOD >> 1
-    return center + (residue - center + half) % _MOD - half
+    half = _WRAP >> 1
+    return center + (residue - center + half) % _WRAP - half
 
 
 def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.ndarray:
@@ -124,7 +109,7 @@ def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.nd
             - int(prefix[m // ar[t + 1 : s + 1]].sum())
             - int(np.dot(runs, head[1 : len(quo)]))
         )
-        big[k] = total % _MOD
+        big[k] = total % _WRAP
     return big
 
 
@@ -212,7 +197,7 @@ def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
     i = np.arange(1, n // (D + 1) ** j + 2, dtype=np.int64)
     mertens = _mertens_at_quotients(n, L, tables, j)
     W = _odd_mertens(mertens, n, i) if odd else mertens(i)
-    lanes = np.uint64 if k == 2 or n**k < _MOD else object
+    lanes = np.uint64 if k == 2 or n**k < _WRAP else object
 
     def dot(a: np.ndarray, q: np.ndarray) -> int:
         q = (q + 1) // 2 if odd else q
@@ -225,10 +210,10 @@ def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
         d = np.flatnonzero(mu[lo : min(lo + _FLOOR_BLOCK, D + 1)]) + lo
         d = d[d % 2 == 1] if odd else d
         # d^j <= n, so below 2^64 the quotients are exact in uint64 lanes
-        total += dot(mu[d], n // _power(d.astype(np.uint64 if n < _MOD else object), j))
+        total += dot(mu[d], n // _power(d.astype(np.uint64 if n < _WRAP else object), j))
     if k == 2:
         return _lift(total, int((2 if odd else 6) * n * n / pi**2))
-    return total % _MOD if lanes is np.uint64 else total
+    return total % _WRAP if lanes is np.uint64 else total
 
 
 def totient_sum(n: int) -> int:

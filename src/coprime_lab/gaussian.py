@@ -7,8 +7,6 @@ as the canonical first-quadrant associate (re > 0, im >= 0) so equalities
 are testable.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -4,8 +4,6 @@ This module needs numpy only, so `exact` and `montecarlo` can both use it
 without loading each other.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

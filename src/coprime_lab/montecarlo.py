@@ -40,24 +40,18 @@ pure-integer Bareiss routine below is the oracle: every block checks a lane
 against it.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .kernels import gcd_lanes
-from .limits import DRAW_MAX as _DRAW_MAX, _WRAP, _det_route, _exact_level, check
-
-# limits owns these; callers also import them, and the refusal type, from here
-from .errors import ResourceLimitError  # noqa: F401
-from .limits import DET_BUDGET_US, TRIALS_MAX, _CRT_PRIMES, _crt_primes_for, _det_trial_us  # noqa: F401
+from .limits import DRAW_MAX, _WRAP, _det_route, _exact_level, check
 
 #: Fixed batch size for deterministic parallel aggregation.
 BATCH_SIZE = 1 << 16
@@ -65,7 +59,7 @@ BATCH_SIZE = 1 << 16
 #: z for the default 95% Wilson interval.
 Z95 = 1.959964
 
-_MASK64 = (1 << 64) - 1
+_MASK64 = _WRAP - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -139,7 +133,7 @@ class RngStream:
         by a scalar without a hardware divide). Run the generator to its end:
         the stream's counter passes the last round only after the last block.
         """
-        if m < 1 or m > _DRAW_MAX:
+        if m < 1 or m > DRAW_MAX:
             raise ValueError(f"m must be in [1, 2^62], got {m}")
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
@@ -186,18 +180,10 @@ class RngStream:
         return vals
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(namedtuple("McEstimate", "kind successes trials estimate ci_low ci_high seed params")):
     """successes/trials with a 95% Wilson interval and the seed that made it."""
 
-    kind: str
-    successes: int
-    trials: int
-    estimate: float
-    ci_low: float
-    ci_high: float
-    seed: int
-    params: dict
+    __slots__ = ()
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:

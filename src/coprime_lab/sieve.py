@@ -9,8 +9,6 @@ Vectorised numpy passes over the primes up to sqrt(N) build it in a few
 seconds for N = 1e7..1e8.
 """
 
-from __future__ import annotations
-
 import threading
 from math import isqrt
 
@@ -18,9 +16,6 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .limits import MAX_SIEVE_LIMIT, sieve_cap
-
-# limits owns these; callers also import them from here
-from .limits import DEFAULT_SIEVE_LIMIT, SIEVE_LIMIT_ENV, configured_limit  # noqa: F401
 
 
 class SieveTables:

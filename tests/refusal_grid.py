@@ -211,12 +211,12 @@ def stubbed(env):
 
 def library_args(case):
     """The library call's keyword arguments, with fgcd's spec built."""
-    from coprime_lab import exact
+    from coprime_lab.limits import FunctionSpec
 
     kwargs = dict(case["kwargs"])
     if "spec" in kwargs:
         _, (ctor, *args) = FGCD_FORMS[kwargs["spec"]]
-        kwargs["spec"] = getattr(exact.FunctionSpec, ctor)(*args)
+        kwargs["spec"] = getattr(FunctionSpec, ctor)(*args)
     return kwargs
 
 

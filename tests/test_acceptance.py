@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from coprime_lab import constants, exact, montecarlo
-from coprime_lab.exact import FunctionSpec
 from coprime_lab.gaussian import GaussianInt, is_coprime
+from coprime_lab.limits import FunctionSpec
 
 
 def _cli_json(args, timeout=120.0):

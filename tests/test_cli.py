@@ -10,7 +10,7 @@ import mpmath as mp
 import oracle
 import pytest
 
-from coprime_lab import cli, exact, montecarlo, sieve
+from coprime_lab import cli, exact, limits, montecarlo, sieve
 
 
 def run_lines(argv):
@@ -149,7 +149,7 @@ def test_mc_size_refused_before_any_batch(argv, message, monkeypatch, capsys):
 def test_mc_trials_cap_refused_before_any_batch(op, monkeypatch):
     batches = []
     monkeypatch.setattr(montecarlo, "_run_batches", lambda *a: batches.append(a) or 0)
-    cap = montecarlo.TRIALS_MAX[op]
+    cap = limits.TRIALS_MAX[op]
     assert run_lines(["mc", op, "--trials", str(cap + 1)]) == (3, []) and batches == []
     code, _ = run_lines(["mc", op, "--trials", str(cap)])
     assert code == 0 and len(batches) == 1
@@ -399,12 +399,39 @@ def test_threads_below_one_rejected(monkeypatch):
     ("exact kfree --n 10 --j 2 --radius 3", "--radius"),
     ("exact squarefree --n 10 --alpha 2", "--alpha"),
     ("exact ktuple --n 10 --k 3 --c 1.5", "--c"),
+    ("exact pair --n 10 --f pow_c", "--f"),
+    ("exact fgcd --n 10 --f alpha_n --c 1.5", "--c"),
+    ("exact fgcd --n 10 --c 1.5", "--c"),
+    ("exact fgcd --n 10 --f pow_c --alpha 2 --c 1.5", "--alpha"),
+    ("const zeta --dim 3", "--dim"),
+    ("const q3 --k 5", "--k"),
+    ("const q3 --k 2", "--k"),
+    ("const delta --dim 3 --k 2", "--k"),
+    ("mc pair --trials 10 --dim 5", "--dim"),
+    ("mc pair --trials 10 --dim 2", "--dim"),
+    ("mc det --trials 10 --max 5", "--max"),
+    ("mc gaussian --trials 10 --entry-max 7", "--entry-max"),
+    ("mc pair --trials 10 --symmetric-entries", "--symmetric-entries"),
+    ("mc triple3 --trials 10 --box 9", "--box"),
 ])
 def test_unread_flag_refused(argv, flag, capsys):
     code, lines = run_lines(argv.split())
     err = capsys.readouterr().err
     assert (code, lines) == (2, []), argv
-    assert err.startswith("invalid arguments:") and flag in err, err
+    assert err == f"invalid arguments: {argv.split()[1]} does not read {flag}\n", err
+
+
+@pytest.mark.parametrize("argv, params", [
+    ("exact fgcd --n 10", {"n": 10, "f": "sqrt2*n"}),
+    ("const zeta", {"k": 2, "eps": 1e-9}),
+    ("const delta", {"dim": "inf", "eps": 1e-9}),
+    ("mc pair --trials 10", {"range_max": 10**9}),
+    ("mc gaussian --trials 10", {"box_half_width": 1000}),
+    ("mc det --trials 10", {"dim": 2, "entry_max": 1000, "symmetric_entries": False}),
+])
+def test_omitted_flags_take_their_defaults(argv, params):
+    (rec,) = run_json(argv.split())
+    assert {k: rec["params"][k] for k in params} == params
 
 
 @pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1e-9"])

@@ -18,14 +18,12 @@ from hypothesis import strategies as st
 from coprime_lab import constants, exact, limits, sieve
 from coprime_lab.errors import ResourceLimitError
 from coprime_lab.exact import (
-    TRIPLE_BRUTE_BOUND,
-    FunctionSpec,
+    DensityResult,
     coprime_ordered_count_mobius,
     coprime_pair_count,
     f_gcd_density,
     floor_f,
     gcd_equal_count,
-    iroot,
     kfree_count,
     ktuple_coprime_count,
     odd_coprime_pair_count,
@@ -34,6 +32,15 @@ from coprime_lab.exact import (
     squarefree_count,
     totient_sum,
     visible_points_in_disk,
+)
+from coprime_lab.limits import (
+    FGCD_MAX,
+    SIEVE_LIMIT_ENV,
+    TRIPLE_BRUTE_BOUND,
+    FunctionSpec,
+    _base_size,
+    _unproven_lanes,
+    iroot,
 )
 from coprime_lab.sieve import build_sieve
 
@@ -44,6 +51,25 @@ SRC = str(Path(exact.__file__).resolve().parents[1])
 def per_d_sum(mu, n, g, step=1):
     """sum of mu[d] * g(n // d) over d = 1, 1 + step, ... <= n, one d at a time."""
     return sum(mu[d] * g(n // d) for d in range(1, n + 1, step) if mu[d])
+
+
+def test_density_result_is_an_immutable_seven_field_record():
+    res = DensityResult("pair", 10, 31, 45, 31 / 45, 0.6, 0.08)
+    assert res == DensityResult(kind="pair", n=10, numerator=31, denominator=45, value=31 / 45,
+                                reference=0.6, abs_gap=0.08)
+    assert res != DensityResult("pair", 10, 31, 45, 31 / 45, 0.6, 0.09)
+    assert (res.kind, res.n, res.numerator, res.denominator, res.value, res.reference, res.abs_gap) \
+        == ("pair", 10, 31, 45, 31 / 45, 0.6, 0.08)
+    bare = DensityResult("visible", 1, 8, 9, 8 / 9)
+    assert (bare.reference, bare.abs_gap) == (None, None)
+    assert repr(bare) == ("DensityResult(kind='visible', n=1, numerator=8, denominator=9, "
+                          "value=0.8888888888888888, reference=None, abs_gap=None)")
+    with pytest.raises(AttributeError):
+        res.value = 0.5
+    with pytest.raises(AttributeError):
+        res.label = "pair"
+    assert coprime_pair_count(10) == DensityResult("pair", 10, 31, 45, 31 / 45, SIX_OVER_PI2,
+                                                   abs(31 / 45 - SIX_OVER_PI2))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +95,7 @@ def test_totient_sum_routes_agree():
     # a full table against the recurrence from a base of about n^(2/3)
     for n in (10**4, 123_456, 10**6):
         t = sieve.shared_tables(n)
-        assert exact._totient_at(n, n, t) == exact._totient_at(n, exact._base_size(n), t), n
+        assert exact._totient_at(n, n, t) == exact._totient_at(n, _base_size(n), t), n
 
 
 def test_totient_sum_errors():
@@ -553,8 +579,8 @@ def assert_kfree_warm_and_cold(n, j):
     n^(1/j) leaves nothing to the recurrence) and from a cold base."""
     assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_base_table", lambda n, j: (exact._base_size(n, j),
-                                                       sieve.shared_tables(exact._base_size(n, j))))
+        mp.setattr(exact, "_base_table", lambda n, j: (_base_size(n, j),
+                                                       sieve.shared_tables(_base_size(n, j))))
         assert kfree_count(n, j).numerator == kfree_per_d(n, j), (n, j, "cold")
 
 
@@ -590,7 +616,7 @@ def test_squarefree_oeis_powers_of_ten():
 def run_fresh(code, *args):
     """The JSON that code prints, run in a fresh interpreter with args under
     the default sieve cap."""
-    env = {k: v for k, v in os.environ.items() if k != sieve.SIEVE_LIMIT_ENV}
+    env = {k: v for k, v in os.environ.items() if k != SIEVE_LIMIT_ENV}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -707,9 +733,9 @@ def test_fgcd_cap_refused_before_any_block(monkeypatch):
     spec = FunctionSpec.sqrt2_times_n()
     monkeypatch.setattr(exact, "_floor_lanes", no_block)
     with pytest.raises(ResourceLimitError, match="capped at n = 1e"):
-        f_gcd_density(exact.FGCD_MAX + 1, spec)
+        f_gcd_density(FGCD_MAX + 1, spec)
     with pytest.raises(AssertionError, match="floored a block"):
-        f_gcd_density(exact.FGCD_MAX, spec)
+        f_gcd_density(FGCD_MAX, spec)
 
 
 @pytest.mark.parametrize("c, refusal", [
@@ -726,7 +752,7 @@ def test_fgcd_root_budget_decided_before_any_block(c, refusal, monkeypatch):
 
     monkeypatch.setattr(exact, "_floor_lanes", no_block)
     with pytest.raises(refusal or AssertionError, match=None if refusal else "floored a block"):
-        f_gcd_density(exact.FGCD_MAX, FunctionSpec.n_pow_c(c))
+        f_gcd_density(FGCD_MAX, FunctionSpec.n_pow_c(c))
 
 
 def test_visible_cap_refused_before_any_table(monkeypatch):
@@ -920,7 +946,7 @@ def test_unproven_lane_count_is_the_lanes_past_2_52(spec):
         A %= B
     n = 2000
     certain = n if p > 1024 else sum(floor_f(spec, m) >= 2**52 for m in range(1, n + 1))
-    assert exact._unproven_lanes(n, A, p, B, q) == certain
+    assert _unproven_lanes(n, A, p, B, q) == certain
 
 
 @st.composite

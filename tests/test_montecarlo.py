@@ -14,9 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprime_lab import constants, exact, montecarlo
+from coprime_lab.errors import ResourceLimitError
 from coprime_lab.gaussian import GaussianInt, is_coprime
+from coprime_lab.limits import (
+    DET_BUDGET_US,
+    TRIALS_MAX,
+    _CRT_PRIMES,
+    _crt_primes_for,
+    _det_route,
+    _det_trial_us,
+    _exact_level,
+)
 from coprime_lab.montecarlo import (
     BATCH_SIZE,
+    McEstimate,
     RngStream,
     batch_seed,
     det_bareiss,
@@ -27,11 +38,8 @@ from coprime_lab.montecarlo import (
     gaussian_coprime_mask,
     mix64,
     wilson_interval,
-    _CRT_PRIMES,
     _DET_BLOCK,
     _exact_dets,
-    _crt_primes_for,
-    _det_route,
     _divisible_by_3,
 )
 
@@ -222,6 +230,26 @@ def test_wilson_extremes(trials, which):
         assert lo == 0.0
     if successes == trials:
         assert hi == 1.0
+
+
+def test_mc_estimate_is_an_immutable_eight_field_record():
+    est = McEstimate("pair", 6, 10, 0.6, 0.31, 0.83, 7, {"range_max": 100})
+    assert est == McEstimate(kind="pair", successes=6, trials=10, estimate=0.6, ci_low=0.31,
+                             ci_high=0.83, seed=7, params={"range_max": 100})
+    assert est != McEstimate("pair", 6, 10, 0.6, 0.31, 0.83, 8, {"range_max": 100})
+    assert (est.kind, est.successes, est.trials, est.estimate, est.ci_low, est.ci_high, est.seed,
+            est.params) == ("pair", 6, 10, 0.6, 0.31, 0.83, 7, {"range_max": 100})
+    assert repr(est) == ("McEstimate(kind='pair', successes=6, trials=10, estimate=0.6, ci_low=0.31, "
+                         "ci_high=0.83, seed=7, params={'range_max': 100})")
+    with pytest.raises(TypeError):  # no field has a default
+        McEstimate("pair", 6, 10, 0.6, 0.31, 0.83, 7)
+    with pytest.raises(AttributeError):
+        est.seed = 8
+    with pytest.raises(AttributeError):
+        est.label = "pair"
+    run = estimate_coprime_pair(100, 1000, seed=3)
+    assert type(run) is McEstimate and run.trials == 1000 and run.estimate == run.successes / 1000
+    assert (run.ci_low, run.ci_high) == wilson_interval(run.successes, 1000)
 
 
 def test_wilson_errors():
@@ -751,7 +779,7 @@ def test_exact_dets_at_each_exact_level_edge(n):
     # at each edge e of a level and at e + 1, on every route that admits e
     rng = np.random.default_rng(n)
     for e0, k in exact_level_edges(n):
-        assert montecarlo._exact_level(n, e0) == k and montecarlo._exact_level(n, e0 + 1) == k - 1
+        assert _exact_level(n, e0) == k and _exact_level(n, e0 + 1) == k - 1
         for e in (e0, e0 + 1):
             mats = rng.integers(-e, e, size=(6, n, n), dtype=np.int64, endpoint=True)
             mats = np.concatenate([mats, [e * sylvester(n), -e * sylvester(n), np.full((n, n), e)]])
@@ -833,14 +861,14 @@ def test_det_trials_cap_scales_with_the_route(monkeypatch):
     batches = []
     monkeypatch.setattr(montecarlo, "_run_batches", lambda *a: batches.append(a) or 0)
     # dim 6 at entries below 1000 (float64 route) keeps the whole cap
-    estimate_det_coprime(6, 1000, montecarlo.TRIALS_MAX["det"], seed=0)
+    estimate_det_coprime(6, 1000, TRIALS_MAX["det"], seed=0)
     # dim 8 at entries near 2^62 runs 16 CRT primes: about 0.1 ms a trial
     route, primes = _det_route(8, 2**62 - 1)
-    cap = int(montecarlo.DET_BUDGET_US / montecarlo._det_trial_us(8, 2**62 - 1, route, len(primes)))
+    cap = int(DET_BUDGET_US / _det_trial_us(8, 2**62 - 1, route, len(primes)))
     assert 10**5 < cap < 10**6
     estimate_det_coprime(8, 2**62, cap, seed=0)
     assert len(batches) == 2
-    with pytest.raises(montecarlo.ResourceLimitError, match="dim 8"):
+    with pytest.raises(ResourceLimitError, match="dim 8"):
         estimate_det_coprime(8, 2**62, cap + 1, seed=0)
     assert len(batches) == 2
 

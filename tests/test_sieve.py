@@ -9,8 +9,8 @@ import pytest
 from coprime_lab import sieve
 from coprime_lab.errors import ResourceLimitError
 from coprime_lab.exact import coprime_pair_count, ktuple_coprime_count
+from coprime_lab.limits import MAX_SIEVE_LIMIT
 from coprime_lab.sieve import (
-    MAX_SIEVE_LIMIT,
     SieveTables,
     build_sieve,
     primes_up_to,

@@ -220,6 +220,17 @@ def test_import_loads_no_dataclasses_fractions_or_pool(module):
     assert loaded == []
 
 
+def test_exact_and_mc_runs_load_no_dataclasses():
+    # numpy itself loads inspect, so only dataclasses is asserted
+    loaded = run_python(
+        "import io, json, sys\n"
+        "import coprime_lab.exact, coprime_lab.montecarlo\n"
+        + runs("exact pair --n 1000", "mc pair --trials 1000")
+        + "print(json.dumps('dataclasses' in sys.modules))"
+    )
+    assert loaded is False
+
+
 @pytest.mark.parametrize("command", [
     "exact triple3 --n 5000",
     "exact visible --radius 20000000",
