@@ -21,12 +21,25 @@ import numpy as np
 
 from . import constants
 from .kernels import gcd_lanes
-from .limits import _WRAP, FunctionSpec, _floor_bits, _reduced, check, iroot, table_need
-from .sieve import primes_up_to, shared_tables
+from .limits import (
+    _WRAP,
+    DENSE_BASE_MAX,
+    FunctionSpec,
+    _floor_bits,
+    _reduced,
+    check,
+    iroot,
+    sieve_cap,
+    table_need,
+)
+from .sieve import primes_up_to, shared_tables, sieve_blocks
 
-#: Rows of the coprimality matrix per block of the triple count: about 47 MB
-#: peak and 0.38 s at n = 2000 on one thread (2 vCPUs).
-_TRIPLE_ROWS = 128
+#: Rows of the coprimality matrix per gcd block of the triple count, and
+#: rows and columns per float32 product block: a fresh CLI process peaks at
+#: about 32.5 MB at n = 1000 and 36.6 MB at n = 2000, and the count takes 19
+#: and 112 ms in process on one BLAS thread (2 vCPUs).
+_TRIPLE_ROWS = 64
+_TRIPLE_BLOCK = 128
 
 #: Lanes per block of the vectorised sums (the Möbius sums' term-by-term
 #: part, visible, fgcd), which bounds their working memory at any size.
@@ -59,10 +72,65 @@ def _result(kind, n, num, den, reference=None):
 
 def _base_table(n: int, j: int = 1):
     """(L, tables): the shared table, fetched once per route, and the base
-    size L the route reads off it: the table's limit, at least
-    _base_size(n, j) (all of iroot(n, j) when small), at most iroot(n, j)."""
-    tables = shared_tables(table_need(n, j))
-    return min(iroot(n, j), tables.limit), tables
+    size L the route reads: table_need(n, j), or the table's whole limit
+    when larger, at most iroot(n, j).
+
+    For j = 1 the table need only reach max(isqrt(n) + 2, min(L,
+    DENSE_BASE_MAX)): past sqrt(n) the recurrence reads its base at the
+    points n // k only, and _tails streams those above the table. A base
+    past the sieve cap is refused before any table, as its table would be.
+    """
+    need = table_need(n, j)
+    dense = need if j > 1 else min(need, max(isqrt(n) + 2, DENSE_BASE_MAX))
+    if dense < need:
+        sieve_cap(need)
+    tables = shared_tables(dense)
+    return min(iroot(n, j), max(need, tables.limit)), tables
+
+
+def _tails(n: int, L: int, tables, *sums: str) -> list:
+    """For each prefix sum of tables named in sums ("phi_sum", "mu_sum"),
+    its values at x_k = n // k for k = K + 1..isqrt(n), K = n // (L + 1),
+    as uint64 residues: what the j = 1 recurrence reads of a base [1, L]
+    past sqrt(n). Empty, with no array built, when the table holds the
+    whole base.
+
+    The x_k up to the table's limit D are gathered from it. Those above are
+    summed from sieve_blocks over (D, x_(K+1)], carried from block to block
+    and kept at the points only, so no array spans (D, L]. Phi(L) < 2^63 and
+    |M(L)| <= L, so the int64 sums are exact.
+    """
+    D = tables.limit
+    if L <= D:
+        return [()] * len(sums)
+    x = n // np.arange(isqrt(n), n // (L + 1), -1, dtype=np.int64)  # ascending
+    c = int(np.searchsorted(x, D, side="right"))  # x[:c] <= D
+    tails, totals = [], []
+    for name in sums:
+        prefix = getattr(tables, name)
+        tails.append(np.empty(len(x), dtype=np.int64))
+        tails[-1][:c] = prefix[x[:c]]
+        totals.append(int(prefix[D]))
+    for start, mu, phi in sieve_blocks(D + 1, int(x[-1]) + 1):
+        a, b = c + np.searchsorted(x[c:], (start, start + len(mu)))
+        block = {"mu_sum": mu, "phi_sum": phi}
+        for i, name in enumerate(sums):
+            totals[i] = _sums_to(block[name], x[a:b] + 1 - start, totals[i], tails[i][a:b])
+    return [tail[::-1].view(np.uint64) for tail in tails]
+
+
+def _sums_to(values: np.ndarray, ends: np.ndarray, total: int, out: np.ndarray) -> int:
+    """out = total + the sums of values[:e] for ascending ends e in [1,
+    len(values)], in int64 from one pass per segment; returns total + the
+    sum of all values."""
+    if len(ends) == 0:
+        return total + int(values.sum(dtype=np.int64))
+    rest = int(values[ends[-1] :].sum(dtype=np.int64))
+    np.add.reduceat(values, np.r_[0, ends[:-1]], dtype=np.int64, out=out)
+    out[-1] -= rest
+    np.cumsum(out, out=out)
+    out += total
+    return int(out[-1]) + rest
 
 
 def _lift(residue: int, center: int) -> int:
@@ -72,35 +140,39 @@ def _lift(residue: int, center: int) -> int:
     return center + (residue - center + half) % _WRAP - half
 
 
-def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.ndarray:
-    """big[k] = F(x_k) mod 2^64 at x_k = iroot(n // k, j) > L, that is for
-    k = 1..K = n // (L + 1)^j; big[0] is unused.
+def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1, tail=()) -> np.ndarray:
+    """big[k] = F(x_k) mod 2^64 at x_k = iroot(n // k, j) for k = 1..S; big[0]
+    is unused. The x_k > L, k = 1..K = n // (L + 1)^j, are computed; tail
+    gives F(x_k) for k = K + 1..S = K + len(tail), and is empty for j > 1.
 
     F satisfies F(m) = G(m) - sum of F(m // d) over d = 2..m, and prefix is
-    a table of F(m) for m = 0..L at least, with L >= isqrt(x_1), as uint64
-    residues or exact int16 values (Deleglise & Rivat, Experimental
-    Mathematics 5, 1996). As x_k // d = x_(k*d^j) (Pawlewicz, "Counting
-    square-free numbers", 2011), the points are filled from k = K up: with
-    s = isqrt(m), each d <= s reads m // d from big[k*d^j] while k*d^j <= K
-    and from prefix otherwise; the d > s share q = m // d <= m // (s + 1) in
-    runs of m // q - m // (q + 1). uint64 wraps mod 2^64 and the recurrence
-    is integer-linear, so the residues are exact at any n. An int16 prefix
-    sums exactly in int64 (numpy sums it in int64, and at most sqrt(n)
-    values below 2^15 are added), and its head up to isqrt(x_1) + 1 is cast
-    to wrapping uint64 residues once for the dots (a uint64-int16 dot would
-    run in float64).
+    a table of F(m) as uint64 residues or exact int16 values, with L >=
+    isqrt(x_1) (Deleglise & Rivat, Experimental Mathematics 5, 1996): for
+    m = 0..L without a tail, and for m = 0..isqrt(n) + 1 with a tail to S =
+    isqrt(n), which then holds every base value read above sqrt(n). As
+    x_k // d = x_(k*d^j) (Pawlewicz, "Counting square-free numbers", 2011),
+    the points are filled from k = K up: with s = isqrt(m), each d <= s reads
+    m // d from big[k*d^j] while k*d^j <= S and from prefix otherwise; the
+    d > s share q = m // d <= m // (s + 1) in runs of m // q - m // (q + 1).
+    uint64 wraps mod 2^64 and the recurrence is integer-linear, so the
+    residues are exact at any n. An int16 prefix sums exactly in int64
+    (numpy sums it in int64, and at most sqrt(n) values below 2^15 are
+    added), and its head up to isqrt(x_1) + 1 is cast to wrapping uint64
+    residues once for the dots (a uint64-int16 dot would run in float64).
     """
     K = n // (L + 1) ** j
-    big = np.zeros(K + 1, dtype=np.uint64)
+    S = K + len(tail)
+    big = np.zeros(S + 1, dtype=np.uint64)
+    big[K + 1 :] = tail
     if K == 0:
         return big
     ar = np.arange(isqrt(iroot(n, j)) + 3, dtype=np.int64)
-    arj = ar[: iroot(K, j) + 2] ** j
+    arj = ar[: iroot(S, j) + 2] ** j
     head = prefix[: len(ar) - 1].astype(np.uint64, copy=False)
     for k in range(K, 0, -1):
         m = iroot(n // k, j)
         s = isqrt(m)
-        t = min(s, iroot(K // k, j))
+        t = min(s, iroot(S // k, j))
         quo = m // ar[1 : m // (s + 1) + 2]  # m // q for q = 1..Q+1
         runs = (quo[:-1] - quo[1:]).view(np.uint64)
         total = (
@@ -113,9 +185,10 @@ def _quotient_values(n: int, L: int, prefix: np.ndarray, G, j: int = 1) -> np.nd
     return big
 
 
-def _totient_at(n: int, L: int, tables) -> int:
-    """Phi(n) from the first L entries of tables (L = n reads the prefix
-    directly).
+def _totient_at(n: int, L: int, tables, tail=None) -> int:
+    """Phi(n) from the base [1, L], read off tables and, past its limit, from
+    tail (_tails' Phi, streamed here when None); L = n reads the prefix
+    directly.
 
     Phi(m) = m(m+1)/2 - sum of Phi(m // d) over d >= 2. Its residue mod 2^64
     is lifted to the integer nearest 3n^2/pi^2, which is exact because
@@ -125,24 +198,32 @@ def _totient_at(n: int, L: int, tables) -> int:
     prefix = tables.phi_sum.view(np.uint64)
     if n <= L:
         return int(prefix[n])
-    big = _quotient_values(n, L, prefix, lambda m: m * (m + 1) // 2)
+    if tail is None:
+        (tail,) = _tails(n, L, tables, "phi_sum")
+    big = _quotient_values(n, L, prefix, lambda m: m * (m + 1) // 2, tail=tail)
     return _lift(int(big[1]), int(3 * n * n / pi**2))
 
 
-def _mertens_at_quotients(n: int, L: int, tables, j: int = 1):
+def _mertens_at_quotients(n: int, L: int, tables, j: int = 1, tail=None):
     """mertens with mertens(i) = M(iroot(n // i, j)) for int64 arrays i >= 1,
-    from the first L entries of tables; for j > 1, M(L) past n // (L + 1)^j.
+    from the base [1, L], read off tables and, for j = 1 past its limit,
+    from tail (_tails' M, streamed here when None); for j > 1, M(L) past
+    n // (L + 1)^j.
 
     M is the Mertens function, M(m) = 1 - sum of M(m // d) over d >= 2;
     |M(m)| <= m < 2^63, so its uint64 residues read as int64 are exact.
     """
     prefix = tables.mu_sum
-    big = _quotient_values(n, L, prefix, lambda m: 1, j).view(np.int64)
-    K = len(big) - 1
+    if j > 1:
+        tail = ()
+    elif tail is None:
+        (tail,) = _tails(n, L, tables, "mu_sum")
+    big = _quotient_values(n, L, prefix, lambda m: 1, j, tail).view(np.int64)
+    S = len(big) - 1
 
     def mertens(i: np.ndarray) -> np.ndarray:
-        low = prefix[np.minimum(n // i, L)] if j == 1 else prefix[L]
-        return np.where(i <= K, big[np.minimum(i, K)], low)
+        low = prefix[np.minimum(n // i, tables.limit)] if j == 1 else prefix[L]
+        return np.where(i <= S, big[np.minimum(i, S)], low)
 
     return mertens
 
@@ -161,7 +242,7 @@ def _odd_mertens(mertens, n: int, i: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
+def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1, base=None) -> int:
     """sum of mu(d) * g(n // d^j) over d = 1..n (odd d only if odd), exactly,
     with g(q) = q^k, or ((q + 1) // 2)^2 for odd pairs (odd with k = 2).
 
@@ -190,12 +271,13 @@ def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
       is off by under 2^-50 c < 2^30 (c < 2^80), so the total is far
       inside 2^63.
 
-    k >= 3 with n^k >= 2^64 dots over Python ints.
+    k >= 3 with n^k >= 2^64 dots over Python ints. base is (L, tables, the
+    M tail of _tails), _base_table's with its tail when None.
     """
-    L, tables = _base_table(n, j)
+    L, tables, tail = base or (*_base_table(n, j), None)
     D = isqrt(n) if j == 1 else L
     i = np.arange(1, n // (D + 1) ** j + 2, dtype=np.int64)
-    mertens = _mertens_at_quotients(n, L, tables, j)
+    mertens = _mertens_at_quotients(n, L, tables, j, tail)
     W = _odd_mertens(mertens, n, i) if odd else mertens(i)
     lanes = np.uint64 if k == 2 or n**k < _WRAP else object
 
@@ -216,34 +298,39 @@ def _mobius_sum(n: int, k: int, odd: bool = False, j: int = 1) -> int:
     return total % _WRAP if lanes is np.uint64 else total
 
 
-def totient_sum(n: int) -> int:
+def totient_sum(n: int, *, _base=None) -> int:
     """Phi(n) = sum of phi(k) for k = 1..n, exactly.
 
     Sums a table for small n and runs the sublinear recurrence from a base
-    table of about n^(2/3) above, which handles n far beyond any table.
+    of about n^(2/3) above, which handles n far beyond any table. _base is
+    (L, tables, the Phi tail of _tails) when the caller has streamed it.
     """
     check("totient_sum", n=n)
     if n == 0:
         return 0
-    return _totient_at(n, *_base_table(n))
+    return _totient_at(n, *(_base or _base_table(n)))
 
 
-def coprime_ordered_count_mobius(n: int) -> int:
+def coprime_ordered_count_mobius(n: int, *, _base=None) -> int:
     """#{(i, k) in [1,n]^2 : gcd(i, k) = 1} via sum of mu(d) * floor(n/d)^2.
 
     Reads the Mertens function at quotient points only, so it runs at every
-    n whose base table (about n^(2/3)) fits under the configured sieve cap.
+    n whose base (about n^(2/3)) fits under the configured sieve cap. _base
+    is (L, tables, the M tail of _tails) when the caller has streamed it.
     """
     check("coprime_ordered_count_mobius", n=n)
-    return _mobius_sum(n, 2)
+    return _mobius_sum(n, 2, base=_base)
 
 
 def _pair_numerator(n: int) -> int:
-    """|{(i, k): 1 <= i < k <= n, gcd = 1}| = Phi(n) - 1, cross-checked."""
+    """|{(i, k): 1 <= i < k <= n, gcd = 1}| = Phi(n) - 1, cross-checked
+    against the Möbius count; both read one base, its tails from one stream."""
     if n <= 1:
         return 0
-    num = totient_sum(n) - 1
-    ordered = coprime_ordered_count_mobius(n)
+    L, tables = _base_table(n)
+    phi_tail, mu_tail = _tails(n, L, tables, "phi_sum", "mu_sum")
+    num = totient_sum(n, _base=(L, tables, phi_tail)) - 1
+    ordered = coprime_ordered_count_mobius(n, _base=(L, tables, mu_tail))
     if ordered != 2 * num + 1:
         raise AssertionError(
             f"mobius/totient cross-check failed at n={n}: {ordered} != {2 * num + 1}"
@@ -280,13 +367,15 @@ def pairwise_coprime_triple_count(n: int) -> DensityResult:
     """Exact count of ordered triples from [1,n]^3 that are pairwise coprime.
 
     Full enumeration, expressed as sum over (b, c) of G[b,c] * (G^2)[b,c]
-    with G the symmetric 0/1 coprimality matrix, built once in float32 rows
-    from kernels.gcd_lanes, _TRIPLE_ROWS rows at a time; the sum then runs
-    over the same row blocks G_b as G_b * (G_b @ G). Each entry of G_b @ G,
-    and every partial sum inside the float32 matmul, is an integer count of
-    at most n <= 2000 < 2^24, and each product with G_b is one of them or 0,
-    so all are exact in float32 under any BLAS blocking or thread count.
-    Each block is summed with a float64 accumulator, and each block sum, the
+    with G the symmetric 0/1 coprimality matrix, built once as uint8 from
+    kernels.gcd_lanes, _TRIPLE_ROWS rows at a time. The sum runs over
+    square blocks of _TRIPLE_BLOCK rows and columns: (G^2)_bc = G_b @ G_c^T
+    from float32 copies of the row blocks G_b and G_c, masked by G_bc. G and
+    G^2 are symmetric, so only blocks c >= b are formed and those with c > b
+    count twice. Each entry of G_b @ G_c^T, and every partial sum inside
+    the float32 matmul, is an integer count of at most n <= 2000 < 2^24, so
+    all are exact in float32 under any BLAS blocking or thread count. Each
+    block is summed with a float64 accumulator, and each block sum, the
     total and every partial sum on the way is an integer at most
     n^3 < 2^53, so those additions are exact too: no summation order can
     change the count.
@@ -294,14 +383,19 @@ def pairwise_coprime_triple_count(n: int) -> DensityResult:
     check("pairwise_coprime_triple_count", n=n)
     ref = constants.reference_constant("triple3").value
     r = np.arange(1, n + 1, dtype=np.int32)
-    g = np.empty((n, n), dtype=np.float32)
+    g = np.empty((n, n), dtype=np.uint8)
     for lo in range(0, n, _TRIPLE_ROWS):
         b = r[lo : lo + _TRIPLE_ROWS]
         g[lo : lo + len(b)] = (gcd_lanes(np.repeat(b, n), np.tile(r, len(b))) == 1).reshape(len(b), n)
     num = 0
-    for lo in range(0, n, _TRIPLE_ROWS):
-        gb = g[lo : lo + _TRIPLE_ROWS]
-        num += int(np.sum(gb * (gb @ g), dtype=np.float64))
+    for lo in range(0, n, _TRIPLE_BLOCK):
+        rows = slice(lo, lo + _TRIPLE_BLOCK)
+        gb = g[rows].astype(np.float32)
+        for c in range(lo, n, _TRIPLE_BLOCK):
+            cols = slice(c, c + _TRIPLE_BLOCK)
+            block = gb @ (gb if c == lo else g[cols].astype(np.float32)).T
+            block *= g[rows, cols]
+            num += (1 if c == lo else 2) * int(block.sum(dtype=np.float64))
     return _result("triple3", n, num, n**3, ref)
 
 

@@ -62,6 +62,11 @@ SIEVE_LIMIT_ENV = "COPRIME_LAB_SIEVE_LIMIT"
 #: this size costs less than the recurrence's per-step numpy overhead.
 SMALL_TABLE = 10**4
 
+#: Largest dense table a j = 1 count asks for past sqrt(n): the rest of its
+#: base is streamed from sieve blocks, so a base up to this size stays in
+#: the shared table for the next count.
+DENSE_BASE_MAX = 1 << 16
+
 #: Modulus of the wrapping uint64 residue, the first CRT modulus.
 _WRAP = 1 << 64
 

@@ -180,8 +180,9 @@ def test_over_cap_base_table_fails_before_work(monkeypatch):
 
 
 def test_pair_crosscheck_runs_past_the_table_cap(monkeypatch):
-    # n = 2e7 is above the default 1e7 cap, where the check used to be skipped
-    monkeypatch.setattr(exact, "coprime_ordered_count_mobius", lambda n: 0)
+    # n = 2e7 is above the default 1e7 cap, where the check used to be skipped;
+    # the pair count hands the Möbius route the base it shares with Phi
+    monkeypatch.setattr(exact, "coprime_ordered_count_mobius", lambda n, **base: 0)
     with pytest.raises(AssertionError, match="cross-check failed"):
         coprime_pair_count(2 * 10**7)
 
@@ -198,9 +199,10 @@ def test_answers_do_not_depend_on_cached_prefixes(monkeypatch):
         return out
 
     cold = answers(reset=True)
+    # a 10^6 table with its prefixes, as a visible count leaves it: the bases
+    # up to 10^9 read it whole, and 10^10's streams only past it
     monkeypatch.setattr(sieve, "_shared", None)
-    totient_sum(10**9)
-    assert len(sieve._shared.phi_sum) - 1 == 10**6
+    assert len(sieve.shared_tables(10**6).phi_sum) - 1 == 10**6
     warm = answers(reset=False)
     assert cold == warm
     assert [phi for phi, _ in cold] == PHI_POW10 + list(PHI_PAST_INT64.values())
@@ -651,23 +653,134 @@ def test_squarefree_oeis_in_a_cold_process():
 
 
 def test_pair_count_holds_at_most_13_bytes_per_table_index():
-    # n = 1e9 reads a 10^6-entry table: int8 mu, int32 phi and int64 Phi
-    # while Phi is summed, 13 bytes an index; Phi then replaces phi and M is
-    # int16, 11 bytes. The 2 MB cover the recurrences' own arrays.
+    # n = 1e9 has a base of 10^6 but a dense table of DENSE_BASE_MAX only:
+    # int8 mu, int32 phi and int64 Phi while Phi is summed, 13 bytes an
+    # index, and M int16. The base above it streams a block at a time: an
+    # int8 mu, int32 phi and rem, a bool mask and one int64 cast to sum, 18
+    # bytes an index; Phi and M at the about sqrt(n) points past the table
+    # and those points themselves, 24 bytes each. The 2 MB cover the
+    # recurrences' own arrays.
     code = (
         "import json, tracemalloc\n"
         "from coprime_lab import exact, sieve\n"
+        "blocks, stream = [], exact.sieve_blocks\n"
+        "def sizes(lo, hi):\n"
+        "    for block in stream(lo, hi):\n"
+        "        blocks.append(len(block[1]))\n"
+        "        yield block\n"
+        "exact.sieve_blocks = sizes\n"
         "tracemalloc.start()\n"
         "num = exact.coprime_pair_count(10**9).numerator\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
         "t = sieve._shared\n"
-        "print(json.dumps([num, peak, t.limit, t._phi is None,"
+        "print(json.dumps([num, peak, t.limit, max(blocks), t._phi is None,"
         " str(t.phi_sum.dtype), str(t.mu_sum.dtype)]))"
     )
-    num, peak, limit, phi_released, phi_sum, mu_sum = run_fresh(code)
-    assert num == PHI_POW10[8] - 1 and limit == 10**6
-    assert peak < 13 * (limit + 1) + 2 * 2**20, peak
+    num, peak, limit, block, phi_released, phi_sum, mu_sum = run_fresh(code)
+    assert num == PHI_POW10[8] - 1 and limit <= limits.DENSE_BASE_MAX
+    assert peak < 13 * (limit + 1) + 18 * block + 24 * math.isqrt(10**9) + 2 * 2**20, peak
     assert (phi_released, phi_sum, mu_sum) == (True, "int64", "int16")
+
+
+#: (pair, odd-pair, k = 3 tuple) numerators whose bases stream past the
+#: dense table, as the code before the stream gave them (pair: A064018 - 1).
+STREAMED_PINS = {
+    10**9: (PHI_POW10[8] - 1, 101321183652451274, 831907372722449100147414487),
+    10**10: (PHI_PAST_INT64[10**10] - 1, 10132118363334630653, 831907372589073124899487831735),
+    316 * 10**8: (303525843417493401877, 101175281136570664966, 26250417860565793073875743056071),
+}
+
+
+def test_streamed_bases_give_the_pinned_numerators():
+    # a fresh process starts from an empty cache, so each base streams
+    code = (
+        "import json, sys\n"
+        "from coprime_lab import exact, sieve\n"
+        "out = {}\n"
+        "for n in map(int, sys.argv[1:]):\n"
+        "    out[n] = [exact.coprime_pair_count(n).numerator, exact.odd_coprime_pair_count(n).numerator,\n"
+        "              exact.ktuple_coprime_count(n, 3).numerator, sieve._shared.limit]\n"
+        "print(json.dumps({n: [str(v) for v in row] for n, row in out.items()}))"
+    )
+    got = run_fresh(code, *STREAMED_PINS)
+    for n, pins in STREAMED_PINS.items():
+        *nums, limit = map(int, got[str(n)])
+        assert tuple(nums) == pins, n
+        assert limit < limits.table_need(n), n
+
+
+def test_pair_count_1e10_in_a_cold_process_peaks_below_60_mb():
+    # the base of 4.6e6 streams past a table of 10^5 + 2; read whole it
+    # peaked at 86.7 MB
+    code = (
+        "import json, re\n"
+        "from coprime_lab import exact\n"
+        "num = exact.coprime_pair_count(10**10).numerator\n"
+        "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+        "print(json.dumps([str(num), int(peak.group(1)) / 1024]))"
+    )
+    num, rss_mb = run_fresh(code)
+    assert int(num) == PHI_PAST_INT64[10**10] - 1
+    assert rss_mb < 60, rss_mb
+
+
+def dense_tails(n, L, tables):
+    """Phi and M at x_k = n // k for k = K + 1..isqrt(n), K = n // (L + 1),
+    gathered from a table that holds the whole base [1, L]."""
+    x = n // np.arange(n // (L + 1) + 1, math.isqrt(n) + 1)
+    return tables.phi_sum[x], tables.mu_sum[x].astype(np.int64)
+
+
+def assert_tails_match(n, L, tables, dense):
+    phi, mu = exact._tails(n, L, tables, "phi_sum", "mu_sum")
+    want_phi, want_mu = dense_tails(n, L, dense)
+    assert np.array_equal(phi.view(np.int64), want_phi), n
+    assert np.array_equal(mu.view(np.int64), want_mu), n
+
+
+def test_streamed_tails_match_a_dense_table_near_the_dense_limit(monkeypatch):
+    # the table a base asks for is DENSE_BASE_MAX below n = (DENSE_BASE_MAX - 1)^2
+    # and isqrt(n) + 2 from there on
+    edge = (limits.DENSE_BASE_MAX - 1) ** 2
+    rng = random.Random(31)
+    ns = [edge - 1, edge, limits.DENSE_BASE_MAX**2]
+    ns += [rng.randrange(edge - 2**19, edge + 2**19) for _ in range(3)]
+    dense = build_sieve(max(map(limits.table_need, ns)))
+    for n in ns:
+        monkeypatch.setattr(sieve, "_shared", None)
+        L, tables = exact._base_table(n)
+        assert tables.limit == max(math.isqrt(n) + 2, limits.DENSE_BASE_MAX) < L == limits.table_need(n)
+        assert_tails_match(n, L, tables, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(10**7, 10**8))
+def test_streamed_tails_match_a_dense_table_at_block_edges(data, n):
+    # a table up to D starts the stream's blocks at D + 1 + i * size; D is
+    # drawn so that a quotient point ends one block or starts the next
+    L = limits.table_need(n)
+    s = math.isqrt(n)
+    x = n // np.arange(n // (L + 1) + 1, s + 1)  # descending
+    point = int(data.draw(st.sampled_from(x[x > s + 3]), label="point"))
+    size = len(next(sieve.sieve_blocks(1, int(x[0]) + 1))[1])
+    i = data.draw(st.integers(0, (point - s - 3) // size), label="blocks before the point")
+    D = point - i * size - data.draw(st.integers(0, 1), label="point starts a block")
+    assert_tails_match(n, L, build_sieve(D), build_sieve(L))
+
+
+def test_counts_on_a_whole_range_base_start_no_stream(monkeypatch):
+    # n <= SMALL_TABLE reads its base [1, n] off the table: no tail, no block
+    def no_stream(lo, hi):
+        raise AssertionError(f"streamed [{lo}, {hi})")
+
+    monkeypatch.setattr(sieve, "_shared", None)
+    monkeypatch.setattr(exact, "sieve_blocks", no_stream)
+    for n in (3, 500, limits.SMALL_TABLE):
+        L, tables = exact._base_table(n)
+        assert L == n and exact._tails(n, L, tables, "phi_sum", "mu_sum") == [(), ()]
+        assert coprime_pair_count(n).numerator == totient_sum(n) - 1
+        odd_coprime_pair_count(n), ktuple_coprime_count(n, 3), coprime_ordered_count_mobius(n)
+    assert totient_sum(limits.SMALL_TABLE) == PHI_POW10[3]
 
 
 def test_kfree_sieve_oracle_1e6():

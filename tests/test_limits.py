@@ -65,6 +65,19 @@ def test_library_refusals_match_the_pins():
     assert wrong == []
 
 
+def test_accepted_exact_cases_build_their_table_before_any_stream(monkeypatch):
+    # a j = 1 base past its dense table streams sieve blocks, but only after
+    # the table is built: the build stub stops every accepted case first
+    def no_stream(lo, hi):
+        raise AssertionError(f"streamed [{lo}, {hi}) before the table was built")
+
+    monkeypatch.setattr(exact, "sieve_blocks", no_stream)
+    wrong = [(case["id"], got) for case in CASES
+             if case["module"] == "exact" and PINS[case["id"]]["library"] == "accepted"
+             and (got := grid.run_library(case)) != "accepted"]
+    assert wrong == []
+
+
 def test_every_cli_experiment_has_a_row():
     functions = {e.function for e in (*cli.EXACT.values(), *cli.MC.values())}
     assert functions <= set(limits.RULES)

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coprime_lab import sieve
 from coprime_lab.errors import ResourceLimitError
@@ -14,6 +16,7 @@ from coprime_lab.sieve import (
     SieveTables,
     build_sieve,
     primes_up_to,
+    sieve_blocks,
 )
 
 N_PROP = 10**4
@@ -89,6 +92,53 @@ def test_build_matches_smooth_part_tables():
         mu, phi = smooth_part_tables(n)
         assert t.mu.dtype == mu.dtype and t.phi.dtype == phi.dtype
         assert np.array_equal(t.mu, mu) and np.array_equal(t.phi, phi), n
+
+
+#: The blocks' reference: every block test reads [lo, hi) inside [1, 2^21].
+BLOCK_SPAN = 2**21
+BLOCK_TABLES = build_sieve(BLOCK_SPAN)
+
+
+def assert_blocks_match_table(lo, hi):
+    """sieve_blocks(lo, hi) tiles [lo, hi) with equal blocks but the last,
+    and gives build_sieve's mu and phi there."""
+    starts, lengths = [], []
+    for start, mu, phi in sieve_blocks(lo, hi):
+        starts.append(start)
+        lengths.append(len(mu))
+        assert mu.dtype == np.int8 and phi.dtype == np.int32 and len(phi) == len(mu)
+        assert np.array_equal(mu, BLOCK_TABLES.mu[start : start + len(mu)]), (lo, hi, start)
+        assert np.array_equal(phi, BLOCK_TABLES.phi[start : start + len(mu)]), (lo, hi, start)
+    assert starts == [lo + sum(lengths[:i]) for i in range(len(starts))]
+    assert lo + sum(lengths) == hi and len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0]
+
+
+def block_length(hi):
+    """The length of sieve_blocks' first block for [1, hi)."""
+    return len(next(sieve_blocks(1, hi))[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), hi=st.integers(2, BLOCK_SPAN + 1))
+def test_sieve_blocks_match_build_sieve(data, hi):
+    lo = data.draw(st.integers(max(1, hi - 2**19), hi - 1), label="lo")
+    assert_blocks_match_table(lo, hi)
+
+
+# hi = p^k + 1 or p^k - 1, so the last block ends at p^k or just below it;
+# lo = 1 puts block edges at 1 + i * size, and lo = hi - size + (-1, 0, 1)
+# one short of, at, and one past a single full block
+@pytest.mark.parametrize("hi", [2**21 + 1, 2**21 - 1, 3**13 + 1, 3**13 - 1, 1447**2 + 1,
+                                1021**2 - 1, 7**7 + 1, 2**17 + 1, 2**15 + 2])
+def test_sieve_blocks_at_prime_powers_and_block_edges(hi):
+    size = block_length(hi)
+    for lo in sorted({1, 2, max(1, hi - size - 1), max(1, hi - size), hi - size + 1, hi - 1}):
+        assert_blocks_match_table(lo, hi)
+
+
+def test_sieve_block_length_grows_with_sqrt_hi():
+    # the power of two nearest 100 sqrt(hi), at least 2^15
+    assert [block_length(hi) for hi in (10**5 + 1, 10**6 + 1, 10**7 + 1)] == [2**15, 2**17, 2**18]
 
 
 def test_degenerate_limit():
@@ -243,7 +293,8 @@ def test_shared_tables_built_once_by_two_threads(monkeypatch):
 
 
 def test_prefix_cache_grown_by_two_threads(monkeypatch):
-    # bases 10^4, 46,415, 96,548 and 215,443: each query grows the table
+    # bases 10^4, 46,415, 96,548 and 215,443; the dense tables they ask for,
+    # 10^4, 46,415 and DENSE_BASE_MAX twice, grow the table query by query
     queries = [(coprime_pair_count, (10**6,)), (ktuple_coprime_count, (10**7, 3)),
                (ktuple_coprime_count, (3 * 10**7, 3)), (coprime_pair_count, (10**8,))]
     serial = [f(*args).numerator for f, args in queries]
@@ -251,7 +302,7 @@ def test_prefix_cache_grown_by_two_threads(monkeypatch):
 
     def slow_small_build(limit):
         # a small build is held open while the other thread grows the table
-        # to 215,443, so an unguarded one would land last and shrink it
+        # past it, so an unguarded one would land last and shrink it
         builds.append(limit)
         if limit < 10**5:
             time.sleep(0.05)
@@ -272,7 +323,7 @@ def test_prefix_cache_grown_by_two_threads(monkeypatch):
     # under the lock a build starts only past the table it finds and leaves
     # one at least as large as it asked for, so the builds rise strictly; a
     # shrunk table would be built again to a limit it once had
-    assert builds == sorted(set(builds)) and sieve._shared.limit == 215_443
+    assert builds == sorted(set(builds)) and sieve._shared.limit == builds[-1]
 
 
 def test_prefix_sums_summed_once_by_two_threads(monkeypatch):
